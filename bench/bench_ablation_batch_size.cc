@@ -15,7 +15,9 @@ int main() {
                  "paper default batch = 10 labels per iteration");
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const PreparedDataset data =
-      PrepareDataset({AbtBuyProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = AbtBuyProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   std::printf("%8s %8s %14s %12s %14s\n", "batch", "bestF1", "labels@conv",
               "iterations", "totalWait(s)");

@@ -16,7 +16,9 @@ int main() {
                  "pruned%% = margin computations skipped by blocking");
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const PreparedDataset data =
-      PrepareDataset({AbtBuyProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = AbtBuyProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   std::printf("%8s %8s %14s %10s %16s\n", "K", "bestF1", "labels@conv",
               "pruned%", "scoringTime(s)");

@@ -15,7 +15,9 @@ int main() {
                  "quality vs committee-creation cost as B grows");
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const PreparedDataset data =
-      PrepareDataset({AbtBuyProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = AbtBuyProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   std::printf("%12s %8s %14s %18s %18s\n", "#committee", "bestF1",
               "labels@conv", "committeeTime(s)", "scoringTime(s)");

@@ -20,7 +20,9 @@ int main() {
   const double scale = b::ScaleFromEnv();
 
   for (const SynthProfile& profile : {AbtBuyProfile(), DblpAcmProfile()}) {
-    const PreparedDataset data = PrepareDataset({profile, 7, scale});
+    const PreparedDataset data = PrepareDataset({.profile = profile,
+                                                 .data_seed = 7,
+                                                 .scale = scale});
     std::printf("\n%s:\n", profile.name.c_str());
     std::printf("%8s %8s %12s %14s\n", "tau", "bestF1", "#accepted",
                 "labels@conv");

@@ -25,7 +25,9 @@ int main() {
       "P[Binomial(n,p) > n/2]");
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const PreparedDataset data =
-      PrepareDataset({AbtBuyProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = AbtBuyProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   std::printf("%8s %8s %8s %14s\n", "noise", "#votes", "bestF1",
               "labels@conv");

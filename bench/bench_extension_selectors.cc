@@ -27,7 +27,9 @@ int main() {
       "similarity");
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const PreparedDataset data =
-      PrepareDataset({AbtBuyProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = AbtBuyProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   auto run = [&](std::unique_ptr<ExampleSelector> selector) {
     ActivePool pool(data.float_features);

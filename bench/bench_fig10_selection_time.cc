@@ -17,7 +17,9 @@ int main() {
       "seconds");
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const PreparedDataset data =
-      PrepareDataset({CoraProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = CoraProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   // (a) Non-convex non-linear.
   {

@@ -18,7 +18,9 @@ int main() {
       "scoring seconds per iteration; pruned = examples skipped by blocking");
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const PreparedDataset data =
-      PrepareDataset({CoraProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = CoraProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   const RunResult blocked = b::Run(data, LinearMarginSpec(1), max_labels);
   const RunResult full = b::Run(data, LinearMarginSpec(0), max_labels);

@@ -24,7 +24,9 @@ int main() {
                                    DblpAcmProfile(), DblpScholarProfile(),
                                    CoraProfile()};
   for (const SynthProfile& profile : profiles) {
-    const PreparedDataset data = PrepareDataset({profile, 7, scale});
+    const PreparedDataset data = PrepareDataset({.profile = profile,
+                                                 .data_seed = 7,
+                                                 .scale = scale});
     const std::string all_dims =
         "Margin(" + std::to_string(data.float_features.dims()) + "Dim)";
 

@@ -31,7 +31,9 @@ int main() {
   };
 
   for (const Panel& panel : panels) {
-    const PreparedDataset data = PrepareDataset({panel.profile, 7, scale});
+    const PreparedDataset data = PrepareDataset({.profile = panel.profile,
+                                                 .data_seed = 7,
+                                                 .scale = scale});
     const ApproachSpec nn =
         panel.nn_uses_qbc ? NeuralQbcSpec(2) : NeuralMarginSpec();
     const ApproachSpec linear = panel.linear_uses_ensemble

@@ -21,7 +21,9 @@ int main() {
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const size_t runs = b::RunsFromEnv(3);
   const PreparedDataset data =
-      PrepareDataset({AbtBuyProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = AbtBuyProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   struct Panel {
     std::string title;

@@ -27,7 +27,9 @@ int main() {
                                    AmazonBestBuyProfile(), BeerProfile(),
                                    BabyProductsProfile()};
   for (const SynthProfile& profile : profiles) {
-    const PreparedDataset data = PrepareDataset({profile, 7, scale});
+    const PreparedDataset data = PrepareDataset({.profile = profile,
+                                                 .data_seed = 7,
+                                                 .scale = scale});
     std::vector<b::Series> series;
     for (const double noise : noises) {
       std::vector<std::vector<IterationStats>> curves;

@@ -29,7 +29,9 @@ int main() {
                                    AmazonBestBuyProfile(), BeerProfile(),
                                    BabyProductsProfile()};
   for (const SynthProfile& profile : profiles) {
-    const PreparedDataset data = PrepareDataset({profile, 7, scale});
+    const PreparedDataset data = PrepareDataset({.profile = profile,
+                                                 .data_seed = 7,
+                                                 .scale = scale});
     const size_t test_labels = data.pairs.size() / 5;
 
     const RunResult active =

@@ -26,7 +26,9 @@ int main() {
       "atoms counted with repetition over root-to-positive-leaf paths");
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const PreparedDataset data =
-      PrepareDataset({AbtBuyProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = AbtBuyProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   const RunResult t2 = b::Run(data, TreesSpec(2), max_labels);
   const RunResult t10 = b::Run(data, TreesSpec(10), max_labels);

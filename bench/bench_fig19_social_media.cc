@@ -44,7 +44,9 @@ int main() {
       "simulated expert validates a rule iff reference precision >= 0.85");
   const size_t max_labels = b::MaxLabelsFromEnv(400);
   const PreparedDataset data =
-      PrepareDataset({SocialMediaProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = SocialMediaProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
   std::printf("post-blocking pairs: %zu, hidden matches: %zu\n",
               data.pairs.size(), data.num_matches);
 

@@ -14,7 +14,9 @@ int main() {
                  "Paper shape: margin ~= QBC per learner; Trees(20) -> ~1.0");
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const PreparedDataset data =
-      PrepareDataset({AbtBuyProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = AbtBuyProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   // (a) Non-convex non-linear.
   {

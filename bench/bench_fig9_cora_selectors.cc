@@ -12,7 +12,9 @@ int main() {
                  "Paper shape: similar curves per learner; trees dominate");
   const size_t max_labels = b::MaxLabelsFromEnv(300);
   const PreparedDataset data =
-      PrepareDataset({CoraProfile(), 7, b::ScaleFromEnv()});
+      PrepareDataset({.profile = CoraProfile(),
+                      .data_seed = 7,
+                      .scale = b::ScaleFromEnv()});
 
   {
     const RunResult qbc = b::Run(data, NeuralQbcSpec(2), max_labels);

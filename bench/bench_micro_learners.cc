@@ -29,7 +29,9 @@ namespace {
 // Shared prepared dataset (Abt-Buy at reduced scale).
 const PreparedDataset& Data() {
   static const auto& data =
-      *new PreparedDataset(PrepareDataset({AbtBuyProfile(), 7, 0.4}));
+      *new PreparedDataset(PrepareDataset({.profile = AbtBuyProfile(),
+                                           .data_seed = 7,
+                                           .scale = 0.4}));
   return data;
 }
 

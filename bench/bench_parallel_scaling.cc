@@ -61,7 +61,9 @@ int main() {
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   std::printf("hardware threads: %d\n\n", parallel::HardwareThreads());
 
-  const PreparedDataset data = PrepareDataset({AbtBuyProfile(), 7, scale});
+  const PreparedDataset data = PrepareDataset({.profile = AbtBuyProfile(),
+                                               .data_seed = 7,
+                                               .scale = scale});
 
   struct Spec {
     const char* name;

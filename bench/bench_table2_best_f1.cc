@@ -40,7 +40,9 @@ int main() {
   std::vector<PreparedDataset> datasets;
   datasets.reserve(profiles.size());
   for (const SynthProfile& profile : profiles) {
-    datasets.push_back(PrepareDataset({profile, 7, scale}));
+    datasets.push_back(PrepareDataset({.profile = profile,
+                                       .data_seed = 7,
+                                       .scale = scale}));
   }
 
   std::printf("%-28s", "Approach");

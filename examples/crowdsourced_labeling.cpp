@@ -16,7 +16,7 @@ int main() {
   using namespace alem;
 
   const PreparedDataset data =
-      PrepareDataset({WalmartAmazonProfile(), /*seed=*/5});
+      PrepareDataset({.profile = WalmartAmazonProfile(), .data_seed = 5});
   std::printf("dataset %s: %zu pairs, %zu matches\n\n", data.name.c_str(),
               data.pairs.size(), data.num_matches);
 

@@ -18,7 +18,7 @@ int main() {
 
   // Train on one snapshot of the catalogs...
   const PreparedDataset training_data =
-      PrepareDataset({AbtBuyProfile(), /*seed=*/42});
+      PrepareDataset({.profile = AbtBuyProfile(), .data_seed = 42});
   RunConfig config;
   config.approach = TreesSpec(10);
   config.max_labels = 250;
@@ -50,7 +50,7 @@ int main() {
     return 1;
   }
   const PreparedDataset new_batch =
-      PrepareDataset({AbtBuyProfile(), /*seed=*/4242});
+      PrepareDataset({.profile = AbtBuyProfile(), .data_seed = 4242});
   const std::vector<int> predictions =
       restored.PredictAll(new_batch.float_features);
   const BinaryMetrics metrics =

@@ -17,7 +17,7 @@ int main() {
   using namespace alem;
 
   const PreparedDataset data =
-      PrepareDataset({AmazonGoogleProfile(), /*seed=*/7});
+      PrepareDataset({.profile = AmazonGoogleProfile(), .data_seed = 7});
   std::printf("dataset %s: %zu pairs, %zu matches, %zu features\n\n",
               data.name.c_str(), data.pairs.size(), data.num_matches,
               data.float_features.dims());

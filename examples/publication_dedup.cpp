@@ -20,7 +20,8 @@
 int main() {
   using namespace alem;
 
-  const PreparedDataset data = PrepareDataset({DblpAcmProfile(), /*seed=*/3});
+  const PreparedDataset data = PrepareDataset({.profile = DblpAcmProfile(),
+                                               .data_seed = 3});
   std::printf("dataset %s: %zu pairs, %zu matches\n\n", data.name.c_str(),
               data.pairs.size(), data.num_matches);
 

@@ -17,7 +17,8 @@ int main() {
   using namespace alem;
 
   // Steps 1-3 in one call: generate -> block -> featurize.
-  const PreparedDataset data = PrepareDataset({AbtBuyProfile(), /*seed=*/42});
+  const PreparedDataset data = PrepareDataset({.profile = AbtBuyProfile(),
+                                               .data_seed = 42});
   std::printf("dataset %s: %zu candidate pairs after blocking, %zu true "
               "matches (skew %.3f)\n",
               data.name.c_str(), data.pairs.size(), data.num_matches,

@@ -72,7 +72,7 @@ struct PrepareOptions {
   // resolves as cache_dir (if non-empty) > $ALEM_CACHE_DIR > disabled; when
   // false the cache is never consulted regardless of the environment.
   bool use_cache = true;
-  std::string cache_dir;
+  std::string cache_dir{};
   // > 0 pins the deterministic thread pool before featurization (same effect
   // as parallel::SetNumThreads); 0 leaves the current setting alone.
   int threads = 0;

@@ -50,6 +50,11 @@ namespace kernels {
 // at most this many rows to svm_margin_block).
 inline constexpr size_t kSvmMarginBlock = 8;
 
+// Longest input string the alignment-score kernels accept (the sim layer's
+// kMaxAlignmentLength cap). Scaled scores stay within +-4 * 2 * 64, far
+// inside int16, which is what lets the AVX2 kernels use 16-bit lanes.
+inline constexpr size_t kMaxDpLength = 64;
+
 // Dispatch table: one function pointer per hot inner loop. All pointers are
 // always non-null; nn_wants_transpose tells the NN batch path whether to
 // hand the kernels a [in x out] transposed copy of each layer's weights
@@ -60,21 +65,25 @@ struct KernelOps {
   // ---- similarity kernels (sim/edit_based.cc, via sim/token_based.cc) ----
 
   // Jaro match scan: first index j in [lo, hi) with b[j] == c and
-  // matched[j] == 0; returns hi when no such j exists. Exact (integer)
-  // semantics, so every backend is bitwise-equivalent.
+  // matched[j] == 0; returns hi when no such j exists. Only strings longer
+  // than 64 bytes take this path; shorter ones use the bit-parallel
+  // flagging in sim/edit_based.cc. Exact (integer) semantics, so every
+  // backend is bitwise-equivalent.
   size_t (*jaro_scan)(const char* b, const uint8_t* matched, size_t lo,
                       size_t hi, char c);
 
-  // One Levenshtein DP row update over columns 0..m:
-  //   cur[0] = row_index
-  //   cur[j] = min(prev[j] + 1, cur[j-1] + 1,
-  //                prev[j-1] + (a_char == b[j-1] ? 0 : 1))
-  // `prev` and `cur` hold m+1 ints; `b` holds m chars. Exact (integer)
-  // semantics — the AVX2 version decomposes the column-carried dependency
-  // into a vectorized prefix-min, which is exact because integer min is
-  // associative.
-  void (*lev_row)(const int* prev, int* cur, const char* b, size_t m,
-                  char a_char, int row_index);
+  // Alignment scores of a[0..n) against b[0..m), n, m <= kMaxDpLength,
+  // match +1 / mismatch -1 on raw bytes. The gap costs are dyadic, so each
+  // kernel runs the double DP of sim/edit_based.cc on integers scaled by a
+  // power of two and every intermediate value is exact (docs/kernels.md):
+  //   nw_score:      Needleman-Wunsch global score, gap -1 (unscaled).
+  //   sw_score_x4:   Smith-Waterman best local score, gap -0.5, times 4.
+  //   swg_score_x4:  Smith-Waterman-Gotoh best local score, gap open -0.5,
+  //                  extend -0.25, times 4.
+  // Exact (integer) semantics, so every backend is bitwise-equivalent.
+  int (*nw_score)(const char* a, size_t n, const char* b, size_t m);
+  int (*sw_score_x4)(const char* a, size_t n, const char* b, size_t m);
+  int (*swg_score_x4)(const char* a, size_t n, const char* b, size_t m);
 
   // ---- ml kernels ----
 

@@ -16,7 +16,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <climits>
 #include <cstddef>
 #include <cstdint>
 
@@ -57,73 +56,171 @@ size_t JaroScanAvx2(const char* b, const uint8_t* matched, size_t lo,
   return hi;
 }
 
-// ---- lev_row -----------------------------------------------------------
+// ---- nw_score / sw_score_x4 / swg_score_x4 -----------------------------
 //
-// The scalar recurrence
-//   cur[j] = min(prev[j] + 1, cur[j-1] + 1, prev[j-1] + cost(j))
-// carries a dependency through cur[j-1]. Defining
-//   t[j] = min(prev[j] + 1, prev[j-1] + cost(j))
-// and unrolling the carry gives the closed form
-//   cur[j] = j + min(row_index, min_{1 <= k <= j} (t[k] - k)),
-// i.e. a prefix-min of the dependency-free values t[k] - k, seeded with
-// cur[0] = row_index. Integer min is associative, so the vectorized
-// prefix-min computes exactly the scalar result.
+// Anti-diagonal wavefront in int16 lanes. Every cell (i, j) on diagonal
+// d = i + j depends only on diagonals d-1 and d-2, so 16 rows of one
+// diagonal update in one instruction. A diagonal is four vectors indexed
+// by row: rows 1..16, 17..32, 33..48, 49..64. Cell (i, j)'s predecessors
+//   H[i-1][j-1] = row i-1 of d-2,  H[i-1][j] = row i-1 of d-1,
+//   H[i][j-1]   = row i   of d-1,
+// and likewise E (row i of d-1) and F (row i-1 of d-1) for Gotoh, are the
+// same vectors or the same vectors shifted up one row (ShiftRows), with
+// the i = 0 border shifted in from below. b is stored reversed so that
+// b[j-1] = b[d-i-1] is one contiguous load per vector.
+//
+// Each diagonal computes the vectors holding its matrix cells plus the
+// one holding the j = 0 border cell (d, 0), which is blended in. The other
+// lanes compute throwaway values that no matrix cell reads: a cell's
+// predecessors are matrix or border cells. Padding characters differ from
+// every byte and from each other, so a throwaway lane only ever scores a
+// mismatch; with every score term other than a match negative, no lane can
+// exceed the best matrix cell (or 0), and the local maximum may take all
+// lanes. All values stay within a few hundred of zero (scores are bounded
+// by 4 * 2 * 64; the -2^14 sentinel only ever loses a max) and the adds
+// saturate besides, so 16-bit lanes compute the scalar kernels' ints
+// exactly.
 
-// Lane-wise inclusive prefix-min over 8 int32 lanes: log-step shifts
-// toward higher lanes with an INT_MAX identity filling the vacated lanes.
-inline __m256i PrefixMinLanes(__m256i v) {
-  const __m256i top = _mm256_set1_epi32(INT_MAX);
-  const __m256i idx1 = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
-  const __m256i idx2 = _mm256_setr_epi32(0, 1, 0, 1, 2, 3, 4, 5);
-  v = _mm256_min_epi32(
-      v, _mm256_blend_epi32(_mm256_permutevar8x32_epi32(v, idx1), top, 0x01));
-  v = _mm256_min_epi32(
-      v, _mm256_blend_epi32(_mm256_permutevar8x32_epi32(v, idx2), top, 0x03));
-  // Shift by 4 lanes: low 128 bits become the identity, high 128 bits take
-  // the old low half.
-  v = _mm256_min_epi32(
-      v, _mm256_blend_epi32(_mm256_permute2x128_si256(v, v, 0x08), top, 0x0F));
-  return v;
+enum class Alignment { kGlobal, kLocal, kLocalAffine };
+
+constexpr int kRowsPerVector = 16;
+constexpr int kDiagVectors = static_cast<int>(kMaxDpLength) / kRowsPerVector;
+constexpr int16_t kNegInf16 = -(1 << 14);
+
+// Rows shifted up by one: lane k of the result is lane k-1 of `rows`, and
+// lane 0 is lane 15 of `below` (the 16 rows under them).
+inline __m256i ShiftRows(__m256i rows, __m256i below) {
+  return _mm256_alignr_epi8(rows, _mm256_permute2x128_si256(below, rows, 0x21),
+                            14);
 }
 
-void LevRowAvx2(const int* prev, int* cur, const char* b, size_t m,
-                char a_char, int row_index) {
-  cur[0] = row_index;
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i lane_offsets = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i a_broadcast =
-      _mm256_set1_epi32(static_cast<int8_t>(a_char));
-  // Running min of {row_index} ∪ {t[k] - k : k already processed}.
-  int carry = row_index;
-  size_t j = 1;
-  for (; j + 8 <= m + 1; j += 8) {
-    const __m256i prev_j =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(prev + j));
-    const __m256i prev_jm1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(prev + j - 1));
-    // b[j-1 .. j+6] sign-extended to int32 (a_broadcast is sign-extended
-    // the same way, so byte equality is preserved).
-    const __m256i text = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
-        reinterpret_cast<const __m128i*>(b + j - 1)));
-    // cost = 0 where equal, 1 where not: cmpeq yields -1/0, +1 flips it.
-    const __m256i cost =
-        _mm256_add_epi32(_mm256_cmpeq_epi32(text, a_broadcast), one);
-    const __m256i t = _mm256_min_epi32(_mm256_add_epi32(prev_j, one),
-                                       _mm256_add_epi32(prev_jm1, cost));
-    const __m256i jvec =
-        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(j)),
-                         lane_offsets);
-    const __m256i pm = _mm256_min_epi32(
-        PrefixMinLanes(_mm256_sub_epi32(t, jvec)), _mm256_set1_epi32(carry));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(cur + j),
-                        _mm256_add_epi32(pm, jvec));
-    // Lane 7 of pm is min(carry, min over this strip of t[k] - k).
-    carry = _mm256_extract_epi32(pm, 7);
+template <Alignment kKind>
+int AlignAvx2(const char* a, size_t n, const char* b, size_t m) {
+  constexpr bool kLocal = kKind != Alignment::kGlobal;
+  if (n == 0 || m == 0) return kLocal ? 0 : -static_cast<int>(n + m);
+  // Scores in the scalar kernels' units (nw unscaled, sw/swg times 4).
+  constexpr int16_t kMatch = kLocal ? 4 : 1;
+  constexpr int16_t kGap = kLocal ? -2 : -1;  // Linear gap / Gotoh open.
+  constexpr int16_t kExtend = -1;             // Gotoh extend.
+  // H on the borders i = 0 and j = 0: 0 for local alignment, -k at
+  // distance k from the origin for global.
+  auto border = [](int k) {
+    return _mm256_set1_epi16(kLocal ? 0 : static_cast<int16_t>(-k));
+  };
+
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i neg_inf = _mm256_set1_epi16(kNegInf16);
+  __m256i h[3][kDiagVectors];
+  __m256i e[2][kDiagVectors];
+  __m256i f[2][kDiagVectors];
+  for (int v = 0; v < kDiagVectors; ++v) {
+    h[0][v] = h[1][v] = h[2][v] = zero;
+    e[0][v] = e[1][v] = f[0][v] = f[1][v] = neg_inf;
   }
-  for (; j <= m; ++j) {
-    const int substitution = prev[j - 1] + (a_char == b[j - 1] ? 0 : 1);
-    cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, substitution});
+  // row_char: a[i-1] at row i. rev_b: b[m-1-t] at kRevBase + t; a vector's
+  // reads reach t = -15 .. m + 14. Bytes load as 0..255, padding as 256
+  // (rows) and 257 (b).
+  constexpr int kRevBase = kRowsPerVector;
+  constexpr int kRevSlots = kRevBase + static_cast<int>(kMaxDpLength) +
+                            kRowsPerVector;
+  alignas(32) int16_t row_char[kMaxDpLength];
+  int16_t rev_b[kRevSlots];
+  std::fill(row_char, row_char + kMaxDpLength, int16_t{256});
+  std::fill(rev_b, rev_b + kRevSlots, int16_t{257});
+  for (size_t i = 0; i < n; ++i) row_char[i] = static_cast<uint8_t>(a[i]);
+  for (size_t t = 0; t < m; ++t) {
+    rev_b[kRevBase + t] = static_cast<uint8_t>(b[m - 1 - t]);
   }
+  h[1][0] = border(1);  // Diagonal 1: cell (1, 0); E[1][0] is -inf.
+
+  const __m256i match = _mm256_set1_epi16(kMatch);
+  const __m256i mismatch = _mm256_set1_epi16(-kMatch);
+  const __m256i gap = _mm256_set1_epi16(kGap);
+  const __m256i extend = _mm256_set1_epi16(kExtend);
+  const __m256i lane_rows = _mm256_setr_epi16(1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                              11, 12, 13, 14, 15, 16);
+  __m256i best = zero;
+  const int ni = static_cast<int>(n);
+  const int mi = static_cast<int>(m);
+  for (int d = 2; d <= ni + mi; ++d) {
+    __m256i* h_cur = h[d % 3];
+    const __m256i* h_d1 = h[(d - 1) % 3];
+    const __m256i* h_d2 = h[(d - 2) % 3];
+    __m256i* e_cur = e[d % 2];
+    __m256i* f_cur = f[d % 2];
+    const __m256i* e_d1 = e[(d - 1) % 2];
+    const __m256i* f_d1 = f[(d - 1) % 2];
+    const int first = (std::max(1, d - mi) - 1) / kRowsPerVector;
+    const int last = (std::min(ni, d) - 1) / kRowsPerVector;
+    for (int v = first; v <= last; ++v) {
+      const __m256i left = h_d1[v];  // H[i][j-1]
+      const __m256i up =             // H[i-1][j]
+          ShiftRows(left, v == 0 ? border(d - 1) : h_d1[v - 1]);
+      const __m256i diag =  // H[i-1][j-1]
+          ShiftRows(h_d2[v], v == 0 ? border(d - 2) : h_d2[v - 1]);
+      const __m256i b_chars =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+              rev_b + kRevBase + mi - d + 1 + v * kRowsPerVector));
+      const __m256i a_chars = _mm256_load_si256(
+          reinterpret_cast<const __m256i*>(row_char + v * kRowsPerVector));
+      const __m256i scored = _mm256_adds_epi16(
+          diag, _mm256_blendv_epi8(mismatch, match,
+                                   _mm256_cmpeq_epi16(a_chars, b_chars)));
+      __m256i cell;
+      __m256i e_new;
+      if constexpr (kKind == Alignment::kLocalAffine) {
+        e_new = _mm256_max_epi16(_mm256_adds_epi16(e_d1[v], extend),
+                                 _mm256_adds_epi16(left, gap));
+        const __m256i f_up =  // F[i-1][j]
+            ShiftRows(f_d1[v], v == 0 ? neg_inf : f_d1[v - 1]);
+        const __m256i f_new =
+            _mm256_max_epi16(_mm256_adds_epi16(f_up, extend),
+                             _mm256_adds_epi16(up, gap));
+        f_cur[v] = f_new;
+        cell = _mm256_max_epi16(_mm256_max_epi16(zero, scored),
+                                _mm256_max_epi16(e_new, f_new));
+      } else {
+        cell = _mm256_max_epi16(scored,
+                                _mm256_max_epi16(_mm256_adds_epi16(up, gap),
+                                                 _mm256_adds_epi16(left, gap)));
+        if constexpr (kLocal) cell = _mm256_max_epi16(cell, zero);
+      }
+      if (v == last && d <= ni) {  // Row d holds the border cell (d, 0).
+        const __m256i col0 = _mm256_cmpeq_epi16(
+            _mm256_add_epi16(lane_rows, _mm256_set1_epi16(static_cast<int16_t>(
+                                            v * kRowsPerVector))),
+            _mm256_set1_epi16(static_cast<int16_t>(d)));
+        cell = _mm256_blendv_epi8(cell, border(d), col0);
+        if constexpr (kKind == Alignment::kLocalAffine) {
+          e_new = _mm256_blendv_epi8(e_new, neg_inf, col0);
+        }
+      }
+      h_cur[v] = cell;
+      if constexpr (kKind == Alignment::kLocalAffine) e_cur[v] = e_new;
+      if constexpr (kLocal) best = _mm256_max_epi16(best, cell);
+    }
+  }
+  alignas(32) int16_t lanes[kRowsPerVector];
+  if constexpr (!kLocal) {
+    // H[n][m] sits on the last diagonal at row n.
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
+                       h[(ni + mi) % 3][(ni - 1) / kRowsPerVector]);
+    return lanes[(ni - 1) % kRowsPerVector];
+  }
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best);
+  return *std::max_element(lanes, lanes + kRowsPerVector);
+}
+
+int NwScoreAvx2(const char* a, size_t n, const char* b, size_t m) {
+  return AlignAvx2<Alignment::kGlobal>(a, n, b, m);
+}
+
+int SwScoreX4Avx2(const char* a, size_t n, const char* b, size_t m) {
+  return AlignAvx2<Alignment::kLocal>(a, n, b, m);
+}
+
+int SwgScoreX4Avx2(const char* a, size_t n, const char* b, size_t m) {
+  return AlignAvx2<Alignment::kLocalAffine>(a, n, b, m);
 }
 
 // ---- svm_margin_block --------------------------------------------------
@@ -233,7 +330,9 @@ void NnAffineAvx2(const double* w, const double* wt, const double* bias,
 const KernelOps kAvx2Ops = {
     /*name=*/"avx2",
     /*jaro_scan=*/JaroScanAvx2,
-    /*lev_row=*/LevRowAvx2,
+    /*nw_score=*/NwScoreAvx2,
+    /*sw_score_x4=*/SwScoreX4Avx2,
+    /*swg_score_x4=*/SwgScoreX4Avx2,
     /*svm_margin_block=*/SvmMarginBlockAvx2,
     /*nn_wants_transpose=*/true,
     /*nn_affine_f32=*/NnAffineAvx2<float>,

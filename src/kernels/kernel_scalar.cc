@@ -1,8 +1,8 @@
 // Portable scalar kernels — the reference implementations every other
 // backend is differentially tested against (tests/kernel_backend_test.cc).
-// These are verbatim extractions of the inner loops that previously lived
-// inline in sim/edit_based.cc, ml/linear_svm.cc, and ml/neural_net.cc;
-// changing any arithmetic here changes the framework's golden baselines.
+// These are extractions of the inner loops that previously lived inline in
+// sim/edit_based.cc, ml/linear_svm.cc, and ml/neural_net.cc; changing any
+// arithmetic here changes the framework's golden baselines.
 
 #include <algorithm>
 #include <cstddef>
@@ -23,13 +23,79 @@ size_t JaroScanScalar(const char* b, const uint8_t* matched, size_t lo,
   return hi;
 }
 
-void LevRowScalar(const int* prev, int* cur, const char* b, size_t m,
-                  char a_char, int row_index) {
-  cur[0] = row_index;
-  for (size_t j = 1; j <= m; ++j) {
-    const int substitution = prev[j - 1] + (a_char == b[j - 1] ? 0 : 1);
-    cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, substitution});
+// ---- alignment scores --------------------------------------------------
+//
+// Integer transcriptions of the double DPs the alignment similarities
+// (sim/edit_based.cc) were defined by, with every score multiplied by the
+// kernel's scale: each int here is exactly 1x / 4x the double the old loop
+// held in the same cell, so the similarity layer's final division yields
+// the same bits.
+
+int NwScoreScalar(const char* a, size_t n, const char* b, size_t m) {
+  constexpr int kGap = -1;
+  int rows[2][kMaxDpLength + 1];
+  int* previous = rows[0];
+  int* current = rows[1];
+  for (size_t j = 0; j <= m; ++j) previous[j] = kGap * static_cast<int>(j);
+  for (size_t i = 1; i <= n; ++i) {
+    current[0] = kGap * static_cast<int>(i);
+    for (size_t j = 1; j <= m; ++j) {
+      const int match = a[i - 1] == b[j - 1] ? 1 : -1;
+      current[j] = std::max({previous[j - 1] + match, previous[j] + kGap,
+                             current[j - 1] + kGap});
+    }
+    std::swap(previous, current);
   }
+  return previous[m];
+}
+
+int SwScoreX4Scalar(const char* a, size_t n, const char* b, size_t m) {
+  constexpr int kGap = -2;  // -0.5 x 4
+  int rows[2][kMaxDpLength + 1] = {};
+  int* previous = rows[0];
+  int* current = rows[1];
+  int best = 0;
+  for (size_t i = 1; i <= n; ++i) {
+    current[0] = 0;
+    for (size_t j = 1; j <= m; ++j) {
+      const int match = a[i - 1] == b[j - 1] ? 4 : -4;
+      current[j] = std::max({0, previous[j - 1] + match, previous[j] + kGap,
+                             current[j - 1] + kGap});
+      best = std::max(best, current[j]);
+    }
+    std::swap(previous, current);
+  }
+  return best;
+}
+
+int SwgScoreX4Scalar(const char* a, size_t n, const char* b, size_t m) {
+  constexpr int kGapOpen = -2;    // -0.5 x 4
+  constexpr int kGapExtend = -1;  // -0.25 x 4
+  // Stands in for the double DP's -1e30: every E/F value it seeds loses
+  // the max to an H-derived value >= -2 in the same step.
+  constexpr int kNegInf = -(1 << 14);
+  int h_rows[2][kMaxDpLength + 1] = {};
+  int f_rows[2][kMaxDpLength + 1];
+  std::fill(&f_rows[0][0], &f_rows[0][0] + 2 * (kMaxDpLength + 1), kNegInf);
+  int* h_prev = h_rows[0];
+  int* h_cur = h_rows[1];
+  int* f_prev = f_rows[0];
+  int* f_cur = f_rows[1];
+  int best = 0;
+  for (size_t i = 1; i <= n; ++i) {
+    int e = kNegInf;
+    h_cur[0] = 0;
+    for (size_t j = 1; j <= m; ++j) {
+      e = std::max(e + kGapExtend, h_cur[j - 1] + kGapOpen);
+      f_cur[j] = std::max(f_prev[j] + kGapExtend, h_prev[j] + kGapOpen);
+      const int match = a[i - 1] == b[j - 1] ? 4 : -4;
+      h_cur[j] = std::max({0, h_prev[j - 1] + match, e, f_cur[j]});
+      best = std::max(best, h_cur[j]);
+    }
+    std::swap(h_prev, h_cur);
+    std::swap(f_prev, f_cur);
+  }
+  return best;
 }
 
 void SvmMarginBlockScalar(const double* w, size_t d, double bias,
@@ -63,7 +129,9 @@ void NnAffineScalar(const double* w, const double* /*wt*/, const double* bias,
 const KernelOps kScalarOps = {
     /*name=*/"scalar",
     /*jaro_scan=*/JaroScanScalar,
-    /*lev_row=*/LevRowScalar,
+    /*nw_score=*/NwScoreScalar,
+    /*sw_score_x4=*/SwScoreX4Scalar,
+    /*swg_score_x4=*/SwgScoreX4Scalar,
     /*svm_margin_block=*/SvmMarginBlockScalar,
     /*nn_wants_transpose=*/false,
     /*nn_affine_f32=*/NnAffineScalar<float>,

@@ -4,7 +4,11 @@
 // (kMaxAlignmentLength characters) so that long free-text attributes such as
 // product descriptions do not blow up feature-extraction cost. The public EM
 // datasets' discriminative signal for these functions lives in short
-// attributes (names, titles), which fit well under the cap.
+// attributes (names, titles), which fit well under the cap. The cap is also
+// what makes the DPs fast: a capped string fits in one 64-bit word, so the
+// edit-distance and common-substring DPs run bit-parallel, and the
+// alignment scores run in 16-bit SIMD lanes (docs/kernels.md). Every
+// kernel is exact: the values are those of the plain row DPs.
 
 #ifndef ALEM_SIM_EDIT_BASED_H_
 #define ALEM_SIM_EDIT_BASED_H_
@@ -19,18 +23,45 @@ namespace alem {
 
 namespace internal_edit {
 
-// Reusable scratch buffers for the alignment dynamic programs and the Jaro
-// matched-flag arrays. The scalar similarity path constructs one per call
-// (equivalent to the old per-call std::vector allocations); the batch
-// kernels construct one per chunk and reuse it across pairs, which is what
-// hoists the allocation cost out of the pair loop. Every function that
-// takes an EditScratch fully (re)initializes the rows it reads via
-// assign(), so a reused scratch computes bitwise-identical results to a
-// fresh one.
+// Longest string a CharMasks table can hold: one bit per byte of a word.
+inline constexpr size_t kMaxMaskedLength = 64;
+
+// Position masks of one string of at most kMaxMaskedLength bytes (the
+// "Peq" table of the bit-parallel string algorithms): bit j of mask(c) is
+// set iff s[j] == c. Bytes index the table as uint8_t, so bytes >= 0x80
+// are entries 128..255. Set() and Clear() touch only the entries of s's
+// bytes, so one table reused across strings costs O(|s|) per string rather
+// than a 2 KiB reset. Every user leaves the table all-zero again after use.
+class CharMasks {
+ public:
+  void Set(std::string_view s) {
+    for (size_t j = 0; j < s.size(); ++j) {
+      masks_[static_cast<uint8_t>(s[j])] |= uint64_t{1} << j;
+    }
+  }
+  void Clear(std::string_view s) {
+    for (const char c : s) masks_[static_cast<uint8_t>(c)] = 0;
+  }
+  uint64_t operator[](char c) const {
+    return masks_[static_cast<uint8_t>(c)];
+  }
+
+ private:
+  uint64_t masks_[256] = {};
+};
+
+// Reusable scratch for the edit-based similarities. The scalar similarity
+// path constructs one per call; the batch kernels construct one per chunk
+// and reuse it across pairs. Every user restores what it borrowed (masks
+// all-zero) or re-initializes what it reads (flags via assign()), so a
+// reused scratch computes bitwise-identical results to a fresh one.
 struct EditScratch {
-  std::vector<int> int_rows[3];
-  std::vector<double> dbl_rows[4];
+  // Matched flags of the Jaro window scan for strings over 64 bytes.
   std::vector<uint8_t> flags[2];
+  // Masks of the right-hand string of the pair being scored.
+  CharMasks masks;
+  // Monge-Elkan: masks of each right-hand token, built once per pair.
+  std::vector<CharMasks> token_masks;
 };
 
 }  // namespace internal_edit
@@ -185,7 +216,14 @@ double JaroWinklerRaw(std::string_view a, std::string_view b);
 double JaroWinklerRawWith(std::string_view a, std::string_view b,
                           EditScratch& scratch);
 
-// Raw Levenshtein distance (uncapped). Exposed for tests.
+// Raw Jaro-Winkler of a against b given b's masks (b_masks.Set(b));
+// requires |a|, |b| <= kMaxMaskedLength. Monge-Elkan builds each token's
+// masks once per pair and scores every token pair through this.
+double JaroWinklerWithMasks(std::string_view a, std::string_view b,
+                            const CharMasks& b_masks);
+
+// Raw Levenshtein distance, uncapped; the shorter string may have at most
+// kMaxMaskedLength bytes (checked). Exposed for tests.
 int LevenshteinDistance(std::string_view a, std::string_view b);
 
 }  // namespace internal_edit

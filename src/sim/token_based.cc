@@ -91,6 +91,7 @@ double MongeElkanSim(const AttributeProfile& a, const AttributeProfile& b,
                      internal_edit::EditScratch& scratch) {
   // Cost control: the inner loop is |A| * |B| Jaro-Winkler calls.
   constexpr size_t kMaxTokens = 30;
+  using internal_edit::kMaxMaskedLength;
   const size_t na = std::min(a.tokens.size(), kMaxTokens);
   const size_t nb = std::min(b.tokens.size(), kMaxTokens);
   if (na == 0 || nb == 0) return na == nb ? 1.0 : 0.0;
@@ -98,15 +99,30 @@ double MongeElkanSim(const AttributeProfile& a, const AttributeProfile& b,
   auto directed = [&scratch](const std::vector<std::string>& from,
                              const std::vector<std::string>& to, size_t nf,
                              size_t nt) {
+    // Each target token's masks are built once here, not once per pair of
+    // tokens, and cleared again before returning.
+    std::vector<internal_edit::CharMasks>& masks = scratch.token_masks;
+    if (masks.size() < nt) masks.resize(nt);
+    for (size_t j = 0; j < nt; ++j) {
+      if (to[j].size() <= kMaxMaskedLength) masks[j].Set(to[j]);
+    }
     double sum = 0.0;
     for (size_t i = 0; i < nf; ++i) {
       double best = 0.0;
       for (size_t j = 0; j < nt; ++j) {
-        best = std::max(best, internal_edit::JaroWinklerRawWith(
-                                  from[i], to[j], scratch));
+        const bool masked = from[i].size() <= kMaxMaskedLength &&
+                            to[j].size() <= kMaxMaskedLength;
+        const double jw =
+            masked
+                ? internal_edit::JaroWinklerWithMasks(from[i], to[j], masks[j])
+                : internal_edit::JaroWinklerRawWith(from[i], to[j], scratch);
+        best = std::max(best, jw);
         if (best >= 1.0) break;
       }
       sum += best;
+    }
+    for (size_t j = 0; j < nt; ++j) {
+      if (to[j].size() <= kMaxMaskedLength) masks[j].Clear(to[j]);
     }
     return sum / static_cast<double>(nf);
   };

@@ -9,7 +9,9 @@ namespace {
 // Prepared once: dataset preparation is the expensive part of these tests.
 const PreparedDataset& SmallAbtBuy() {
   static const PreparedDataset& data =
-      *new PreparedDataset(PrepareDataset({AbtBuyProfile(), 7, 0.35}));
+      *new PreparedDataset(PrepareDataset({.profile = AbtBuyProfile(),
+                                           .data_seed = 7,
+                                           .scale = 0.35}));
   return data;
 }
 

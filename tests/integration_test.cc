@@ -14,7 +14,9 @@ namespace {
 
 const PreparedDataset& Data() {
   static const PreparedDataset& data =
-      *new PreparedDataset(PrepareDataset({AbtBuyProfile(), 11, 0.3}));
+      *new PreparedDataset(PrepareDataset({.profile = AbtBuyProfile(),
+                                           .data_seed = 11,
+                                           .scale = 0.3}));
   return data;
 }
 

@@ -183,40 +183,6 @@ TEST(KernelDifferentialTest, JaroScanMatchesScalar) {
   }
 }
 
-TEST(KernelDifferentialTest, LevRowMatchesScalar) {
-  const kernels::KernelOps& scalar = OpsFor("scalar");
-  for (const std::string& backend : NonScalarBackends()) {
-    const kernels::KernelOps& ops = OpsFor(backend);
-    Rng rng(99);
-    const size_t lengths[] = {0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100};
-    for (const size_t m : lengths) {
-      for (int round = 0; round < 40; ++round) {
-        std::string b(m, 'x');
-        for (size_t j = 0; j < m; ++j) {
-          b[j] = static_cast<char>('a' + rng.NextBelow(4));
-        }
-        // Random previous row: arbitrary non-negative ints, not just valid
-        // DP states, so the prefix-min decomposition is stressed beyond
-        // what real edit distances produce.
-        std::vector<int> prev(m + 1);
-        for (size_t j = 0; j <= m; ++j) {
-          prev[j] = static_cast<int>(rng.NextBelow(200));
-        }
-        const char a_char = static_cast<char>('a' + rng.NextBelow(4));
-        const int row_index = static_cast<int>(rng.NextBelow(100));
-        std::vector<int> expected(m + 1, -1);
-        std::vector<int> actual(m + 1, -2);
-        scalar.lev_row(prev.data(), expected.data(), b.data(), m, a_char,
-                       row_index);
-        ops.lev_row(prev.data(), actual.data(), b.data(), m, a_char,
-                    row_index);
-        ASSERT_EQ(actual, expected)
-            << backend << " m=" << m << " round " << round;
-      }
-    }
-  }
-}
-
 // Values spanning ~600 orders of magnitude, including denormal-adjacent
 // magnitudes: any double-rounding or flush-to-zero difference in a backend
 // would surface as a ULP gap here.

@@ -435,8 +435,10 @@ TEST_F(ParallelTest, CommitteeSelectionsIdenticalAcrossThreadCounts) {
 RunResult ProfileRun(const std::string& profile_name,
                      const std::string& approach, int threads) {
   parallel::SetNumThreads(threads);
-  const PreparedDataset data = PrepareDataset(
-      {ProfileByName(profile_name), /*data_seed=*/7, /*scale=*/0.2});
+  const PreparedDataset data =
+      PrepareDataset({.profile = ProfileByName(profile_name),
+                      .data_seed = 7,
+                      .scale = 0.2});
   ApproachSpec spec;
   EXPECT_TRUE(ApproachFromName(approach, &spec));
   RunConfig config;

@@ -21,7 +21,9 @@ class PipelinePropertyTest : public ::testing::TestWithParam<int> {
       it = cache
                .emplace(index,
                         PrepareDataset(
-                            {profiles[static_cast<size_t>(index)], 13, 0.2}))
+                            {.profile = profiles[static_cast<size_t>(index)],
+                             .data_seed = 13,
+                             .scale = 0.2}))
                .first;
     }
     return it->second;

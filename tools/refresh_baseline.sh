@@ -1,8 +1,10 @@
 #!/bin/sh
 # Regenerates the golden RunReport baselines that the `report` ctest label
 # gates against (bench/baselines/cli_abtbuy_*.report.json): one per golden
-# workload — linear-margin (margin selection), trees5 (forest + QBC), and
-# linear-qbc4 (bootstrap committee).
+# workload — linear-margin (margin selection), trees5 (forest + QBC),
+# linear-qbc4 (bootstrap committee), and linear-margin-ensemble (the §5.2
+# active ensemble; 100 labels, so that it accepts two members and both the
+# acceptance and the residue paths run).
 #
 # Run this after a change that *intentionally* moves a learning curve or a
 # pipeline counter (new featurizer, different seeding, selector fixes) so
@@ -46,12 +48,14 @@ fi
 mkdir -p "$baseline_dir"
 # The exact workloads the report_gate test replays: small enough to run in
 # seconds, deterministic at any thread count.
-for approach in linear-margin trees5 linear-qbc4; do
+for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   baseline="$baseline_dir/cli_abtbuy_$name.report.json"
+  labels=60
+  [ "$approach" = "linear-margin-ensemble" ] && labels=100
   mkdir -p "$work/cache_$name"
   "$cli" run --dataset=Abt-Buy --approach="$approach" --scale=0.25 \
-      --max-labels=60 --threads=1 --quiet --kernel-backend=scalar \
+      --max-labels="$labels" --threads=1 --quiet --kernel-backend=scalar \
       --warm-start=off --cache-dir="$work/cache_$name" --report="$baseline"
   echo "baseline refreshed: $baseline"
 done

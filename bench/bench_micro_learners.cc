@@ -5,8 +5,9 @@
 // PredictBatch / ProbaBatch / MarginBatch fanned out under ml.batch) against
 // the scalar per-row loops right above them; the Arg is the thread count.
 // Emit a comparable artifact with:
-//   bench_micro_learners --benchmark_out=BENCH_micro_learners.json \
+//   bench_micro_learners --benchmark_out=BENCH_micro_learners.json
 //       --benchmark_out_format=json
+// (one command line).
 
 #include <benchmark/benchmark.h>
 

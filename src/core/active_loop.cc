@@ -12,8 +12,6 @@ std::string_view WarmStartModeName(WarmStartMode mode) {
   switch (mode) {
     case WarmStartMode::kOn:
       return "on";
-    case WarmStartMode::kAuto:
-      return "auto";
     case WarmStartMode::kOff:
       break;
   }
@@ -25,8 +23,6 @@ bool ParseWarmStartMode(std::string_view name, WarmStartMode* mode) {
     *mode = WarmStartMode::kOff;
   } else if (name == "on") {
     *mode = WarmStartMode::kOn;
-  } else if (name == "auto") {
-    *mode = WarmStartMode::kAuto;
   } else {
     return false;
   }

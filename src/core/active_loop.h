@@ -13,6 +13,7 @@
 #define ALEM_CORE_ACTIVE_LOOP_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,18 +47,14 @@ struct LoopBudget {
   const LoopBudget& budget() const { return *this; }
 };
 
-// Incremental-engine mode (docs/training.md; --warm-start CLI knob):
-//   kOff  — every iteration refits cold and rescores the full pool; the
-//           exact-replay path the golden baselines are pinned on (default).
-//   kOn   — warm-start refits (FitHint::kWarm) plus the delta-based
-//           incremental progressive-F1 tally. Curves are gated against cold
-//           baselines by F1 tolerance, not bitwise.
-//   kAuto — incremental evaluation only, with cold refits: the model stream
-//           is untouched, so curves stay bitwise-identical to kOff while the
-//           evaluation tally is still O(changed rows).
-enum class WarmStartMode { kOff, kOn, kAuto };
+// Warm-start mode (docs/training.md; --warm-start CLI knob):
+//   kOff — every iteration refits cold; the exact-replay path the golden
+//          baselines are pinned on (default).
+//   kOn  — warm-start refits (FitHint::kWarm). Curves are gated against
+//          cold baselines by F1 tolerance, not bitwise.
+enum class WarmStartMode { kOff, kOn };
 
-// "off" / "on" / "auto".
+// "off" / "on".
 std::string_view WarmStartModeName(WarmStartMode mode);
 // Parses a mode name; returns false on anything else (*mode untouched).
 bool ParseWarmStartMode(std::string_view name, WarmStartMode* mode);
@@ -70,8 +67,13 @@ struct ActiveLearningConfig : LoopBudget {
   // (0 disables). Section 6.3 of the paper motivates termination criteria
   // that do not require ground truth.
   size_t plateau_window = 0;
-  // Incremental training + evaluation engine mode (see above).
   WarmStartMode warm_start = WarmStartMode::kOff;
+  // Active ensemble (Section 5.2) when set: a candidate whose precision on
+  // the labeled rows it predicts positive reaches this threshold is
+  // accepted, and every row it predicts positive leaves the pool. The run
+  // then predicts the union of the accepted members' positives (plus the
+  // current candidate's, while it looks precise).
+  std::optional<double> ensemble_precision;
 };
 
 struct IterationStats {

@@ -262,7 +262,7 @@ Approach MakeApproach(const ApproachSpec& spec, uint64_t seed) {
   }
   ALEM_CHECK(approach.selector->CompatibleWith(*approach.learner));
   if (spec.active_ensemble) {
-    // Ensembles require a margin learner (checked again by the loop).
+    // Ensembles require a margin learner (Section 5.2).
     ALEM_CHECK(dynamic_cast<MarginLearner*>(approach.learner.get()) !=
                nullptr);
   }

@@ -25,11 +25,6 @@ class Evaluator {
   // Metrics for predictions aligned with eval_rows().
   virtual BinaryMetrics Evaluate(
       const std::vector<int>& predictions) const = 0;
-
-  // Ground-truth labels aligned with eval_rows(). Exposed so the session's
-  // incremental progressive-F1 tally (docs/training.md) can adjust TP/FP/FN/
-  // TN counts for only the rows whose prediction changed.
-  virtual const std::vector<int>& eval_truth() const = 0;
 };
 
 class ProgressiveEvaluator final : public Evaluator {
@@ -39,7 +34,6 @@ class ProgressiveEvaluator final : public Evaluator {
 
   const std::vector<size_t>& eval_rows() const override { return rows_; }
   BinaryMetrics Evaluate(const std::vector<int>& predictions) const override;
-  const std::vector<int>& eval_truth() const override { return truth_; }
 
  private:
   std::vector<int> truth_;
@@ -54,7 +48,6 @@ class HoldoutEvaluator final : public Evaluator {
 
   const std::vector<size_t>& eval_rows() const override { return rows_; }
   BinaryMetrics Evaluate(const std::vector<int>& predictions) const override;
-  const std::vector<int>& eval_truth() const override { return truth_; }
 
  private:
   std::vector<size_t> rows_;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "blocking/jaccard_blocking.h"
-#include "core/active_ensemble.h"
 #include "core/evaluator.h"
 #include "core/oracle.h"
 #include "features/feature_cache.h"
@@ -407,26 +406,6 @@ RunResult RunActiveLearning(const PreparedDataset& data,
   obs::ObsSpan run_span("harness.run", "harness",
                         config.approach.DisplayName());
 
-  if (config.approach.active_ensemble) {
-    RunEnv env = BuildRunEnv(data, config);
-    auto* margin_learner =
-        dynamic_cast<MarginLearner*>(env.approach.learner.get());
-    ALEM_CHECK(margin_learner != nullptr);
-    ActiveEnsembleConfig ensemble_config;
-    ensemble_config.base.budget() = config.budget();
-    ensemble_config.base.seed = config.run_seed;
-    ensemble_config.precision_threshold = config.approach.ensemble_precision;
-    ActiveEnsembleLoop loop(*margin_learner, *env.approach.selector,
-                            *env.oracle, *env.evaluator, ensemble_config);
-    RunResult result;
-    result.approach_name = config.approach.DisplayName();
-    result.curve = loop.Run(env.pool);
-    result.ensemble_accepted = loop.accepted_count();
-    result.final_model = std::move(env.approach.learner);
-    FinalizeRunResult(&result);
-    return result;
-  }
-
   SessionRunner runner(data, config);
   runner.Run();
   return runner.TakeResult();
@@ -480,12 +459,14 @@ SessionRunner::SessionRunner(const PreparedDataset& data,
       feature_cache_(data.feature_cache),
       config_(config),
       env_(BuildRunEnv(data, config)) {
-  ALEM_CHECK(!config.approach.active_ensemble);
   if (start_session) {
     ActiveLearningConfig loop_config;
     loop_config.budget() = config.budget();
     loop_config.seed = config.run_seed;
     loop_config.warm_start = config.warm_start;
+    if (config.approach.active_ensemble) {
+      loop_config.ensemble_precision = config.approach.ensemble_precision;
+    }
     session_ = std::make_unique<LabelingSession>(
         *env_.approach.learner, *env_.approach.selector, *env_.oracle,
         *env_.evaluator, env_.pool, loop_config);
@@ -495,10 +476,6 @@ SessionRunner::SessionRunner(const PreparedDataset& data,
 std::unique_ptr<SessionRunner> SessionRunner::Restore(
     const PreparedDataset& data, const RunConfig& config,
     const SessionSnapshot& snapshot, std::string* error) {
-  if (config.approach.active_ensemble) {
-    *error = "active-ensemble runs are not resumable";
-    return nullptr;
-  }
   std::unique_ptr<SessionRunner> runner(
       new SessionRunner(data, config, /*start_session=*/false));
   // Discard this process's prepare-phase metrics and re-establish the
@@ -510,6 +487,11 @@ std::unique_ptr<SessionRunner> SessionRunner::Restore(
       *runner->env_.oracle, *runner->env_.evaluator, runner->env_.pool,
       snapshot, error);
   if (runner->session_ == nullptr) return nullptr;
+  if (runner->session_->config().ensemble_precision.has_value() !=
+      config.approach.active_ensemble) {
+    *error = "session snapshot: approach and ensemble section disagree";
+    return nullptr;
+  }
   return runner;
 }
 

@@ -161,7 +161,7 @@ struct SessionRunInfo {
 bool ReadSessionRunInfo(const SessionSnapshot& snapshot, SessionRunInfo* info,
                         std::string* error);
 
-// Owns one non-ensemble run's environment plus its LabelingSession, and
+// Owns one run's environment plus its LabelingSession, and
 // layers run-level snapshotting on top of the session's: Save() adds
 // dataset provenance, the RunConfig, the ApproachSpec, and the metric
 // counter/gauge totals to the session sections; Restore() rebuilds the
@@ -170,9 +170,8 @@ bool ReadSessionRunInfo(const SessionSnapshot& snapshot, SessionRunInfo* info,
 // is a thin wrapper over this class.
 class SessionRunner {
  public:
-  // Fresh run: builds the environment and seeds the session. Ensemble
-  // approaches are not sessionable (ActiveEnsembleLoop owns its own loop);
-  // constructing with one aborts.
+  // Fresh run: builds the environment and seeds the session (an ensemble
+  // approach sets ActiveLearningConfig::ensemble_precision).
   SessionRunner(const PreparedDataset& data, const RunConfig& config);
 
   // Rebuilds the environment for `data`/`config` (obtained from the

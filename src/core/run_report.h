@@ -1,6 +1,6 @@
 // Builds the obs::RunReport flight-recorder artifact for one
 // RunActiveLearning call: translates the IterationStats curve (produced by
-// either ActiveLearningLoop or ActiveEnsembleLoop), copies the run
+// the LabelingSession, ensembles included), copies the run
 // configuration and dataset provenance, and stamps the observability
 // rollups (counters, span self-times, peak RSS) from the global
 // registries. Callers that want counters and span rollups populated must

@@ -116,8 +116,9 @@ bool DecodeConfig(std::string_view blob, ActiveLearningConfig* config) {
       !r.U64(&plateau_window)) {
     return false;
   }
-  // Optional warm-start byte; snapshots written before the incremental
-  // engine end here, meaning "off".
+  // Optional warm-start byte; snapshots written before warm starts end
+  // here, meaning "off". 2 is the retired "auto" mode, which refit cold, so
+  // its result stream is "off"'s.
   uint8_t warm = 0;
   if (!r.AtEnd() && (!r.U8(&warm) || warm > 2)) return false;
   if (!r.AtEnd()) return false;
@@ -126,7 +127,7 @@ bool DecodeConfig(std::string_view blob, ActiveLearningConfig* config) {
   config->batch_size = static_cast<size_t>(batch_size);
   config->max_labels = static_cast<size_t>(max_labels);
   config->plateau_window = static_cast<size_t>(plateau_window);
-  config->warm_start = static_cast<WarmStartMode>(warm);
+  config->warm_start = warm == 1 ? WarmStartMode::kOn : WarmStartMode::kOff;
   return true;
 }
 
@@ -279,60 +280,29 @@ bool DecodePlateau(std::string_view blob, size_t* stable_iterations,
   return true;
 }
 
-// Full-rescore audit cadence for the incremental progressive-F1 tally:
-// every kEvalAuditInterval incremental evaluations, Step recounts the whole
-// prediction vector and asserts the tally matches exactly.
-constexpr uint32_t kEvalAuditInterval = 16;
-
-// "IEVL": the incremental-evaluation cache — previous predictions (u8),
-// their confusion tally, and the audit countdown. Written only when the
-// incremental engine is active; decode failures degrade to a cold cache
-// rather than failing the restore (the cache is an accelerator, not part of
-// the result stream).
-std::string EncodeEvalCache(const std::vector<uint8_t>& cache, uint64_t tp,
-                            uint64_t fp, uint64_t fn, uint64_t tn,
-                            uint32_t audit_countdown) {
+// "ENSM": the active ensemble, written only when one runs — the precision
+// threshold, the accepted-member count, and every covered row in ascending
+// order with its coverage state (1: excluded by the coverage scan, 2:
+// already excluded, i.e. held out). Decoded by LabelingSession::
+// RestoreEnsemble, which validates it against the pool.
+std::string EncodeEnsemble(double precision, size_t accepted,
+                           const std::vector<uint8_t>& covered) {
   ByteWriter w;
-  w.U64(cache.size());
-  std::string out = w.Take();
-  out.append(reinterpret_cast<const char*>(cache.data()), cache.size());
-  ByteWriter tail;
-  tail.U64(tp);
-  tail.U64(fp);
-  tail.U64(fn);
-  tail.U64(tn);
-  tail.U32(audit_countdown);
-  out += tail.Take();
-  return out;
+  w.F64(precision);
+  w.U64(accepted);
+  w.U64(covered.size() - static_cast<size_t>(std::count(
+                             covered.begin(), covered.end(), uint8_t{0})));
+  for (size_t row = 0; row < covered.size(); ++row) {
+    if (covered[row] == 0) continue;
+    w.U64(row);
+    w.U8(covered[row]);
+  }
+  return w.Take();
 }
 
-bool DecodeEvalCache(std::string_view blob, std::vector<uint8_t>* cache,
-                     uint64_t* tp, uint64_t* fp, uint64_t* fn, uint64_t* tn,
-                     uint32_t* audit_countdown) {
-  ByteReader r(blob);
-  uint64_t count = 0;
-  if (!r.U64(&count) || count > blob.size()) return false;
-  std::vector<uint8_t> parsed(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!r.U8(&parsed[i]) || parsed[i] > 1) return false;
-  }
-  uint64_t sums[4] = {0, 0, 0, 0};
-  uint32_t countdown = 0;
-  if (!r.U64(&sums[0]) || !r.U64(&sums[1]) || !r.U64(&sums[2]) ||
-      !r.U64(&sums[3]) || !r.U32(&countdown) || !r.AtEnd()) {
-    return false;
-  }
-  // The tally must account for exactly the cached rows.
-  if (sums[0] + sums[1] + sums[2] + sums[3] != count) return false;
-  if (countdown == 0 || countdown > kEvalAuditInterval) return false;
-  *cache = std::move(parsed);
-  *tp = sums[0];
-  *fp = sums[1];
-  *fn = sums[2];
-  *tn = sums[3];
-  *audit_countdown = countdown;
-  return true;
-}
+// Below this many labeled predicted positives a candidate's precision is
+// not judged, so it cannot be accepted on vacuous evidence.
+constexpr size_t kEnsembleMinLabeledPositives = 5;
 
 // "SCOR": the session's own progress record.
 std::string EncodeCore(size_t iteration, uint32_t resume_count,
@@ -576,6 +546,7 @@ LabelingSession::LabelingSession(Learner& learner, ExampleSelector& selector,
       config_(config) {
   ALEM_CHECK(selector.CompatibleWith(learner));
   ALEM_CHECK_GT(config.batch_size, 0u);
+  if (config_.ensemble_precision) covered_.assign(pool_.size(), kUncovered);
   run_span_ = std::make_unique<obs::ObsSpan>("loop.run", "core");
   if (seed_pool) {
     obs::ObsSpan seed_span("loop.seed", "core");
@@ -600,20 +571,30 @@ bool LabelingSession::Step() {
   stats_.labels_used = pool_.num_labeled();
 
   // 1. Train on the cumulative labeled data. Mode kOn asks the learner to
-  // warm-start from the previous iteration's model; kOff/kAuto always refit
-  // cold, keeping the model stream bitwise-identical to the baselines.
+  // warm-start from the previous iteration's model; kOff always refits
+  // cold, keeping the model stream bitwise-identical to the baselines. An
+  // ensemble refits cold after accepting a member, and skips the fit (which
+  // ends the run) once its accepted members cover a whole class of the
+  // labeled rows.
   {
     obs::ObsSpan train_span("loop.train", "core");
-    const FitHint hint = config_.warm_start == WarmStartMode::kOn
+    const std::vector<int> labels = pool_.ActiveLabeledLabels();
+    fit_skipped_ = config_.ensemble_precision &&
+                   (std::count(labels.begin(), labels.end(), 1) == 0 ||
+                    std::count(labels.begin(), labels.end(), 0) == 0);
+    const FitHint hint = config_.warm_start == WarmStartMode::kOn &&
+                                 !AcceptedLastIteration()
                              ? FitHint::kWarm
                              : FitHint::kCold;
-    learner_.Fit(pool_.ActiveLabeledFeatures(), pool_.ActiveLabeledLabels(),
-                 hint);
+    if (!fit_skipped_) {
+      learner_.Fit(pool_.ActiveLabeledFeatures(), labels, hint);
+    }
     stats_.train_seconds = train_span.Close();
   }
 
   // 2. Evaluate. Excluded from user wait time: the paper's wait metric
   // only counts work between the user's label submissions.
+  bool accept = false;
   {
     obs::ObsSpan evaluate_span("loop.evaluate", "core");
     const std::vector<size_t>& eval_rows = evaluator_.eval_rows();
@@ -623,12 +604,14 @@ bool LabelingSession::Step() {
       obs::profile::AddWork(*profiled, eval_rows.size());
     }
     std::vector<int> predictions(eval_rows.size());
-    // One batched sweep through the learner's vector kernel (the fan-out
-    // runs under "ml.batch" inside this evaluate span).
-    learner_.PredictBatch(pool_.features(), eval_rows, predictions.data());
-    stats_.metrics = config_.warm_start != WarmStartMode::kOff
-                         ? EvaluateIncremental(predictions)
-                         : evaluator_.Evaluate(predictions);
+    if (config_.ensemble_precision) {
+      accept = EnsemblePredict(&predictions);
+    } else {
+      // One batched sweep through the learner's vector kernel (the fan-out
+      // runs under "ml.batch" inside this evaluate span).
+      learner_.PredictBatch(pool_.features(), eval_rows, predictions.data());
+    }
+    stats_.metrics = evaluator_.Evaluate(predictions);
     CollectInterpretability(learner_, &stats_);
 
     // Plateau detection: count consecutive iterations whose predictions
@@ -643,9 +626,94 @@ bool LabelingSession::Step() {
     }
     stats_.evaluate_seconds = evaluate_span.Close();
   }
+  if (config_.ensemble_precision) {
+    static obs::Gauge& accepted_gauge =
+        obs::MetricsRegistry::Global().GetGauge("ensemble.accepted");
+    if (accept) Cover();
+    stats_.ensemble_size = accepted_;
+    accepted_gauge.Set(static_cast<double>(accepted_));
+  }
 
   state_ = SessionState::kBatchReady;
   return true;
+}
+
+bool LabelingSession::EnsemblePredict(std::vector<int>* predictions) {
+  // Precision gate: judge the candidate on the labeled rows it predicts
+  // positive (their true labels came from the Oracle).
+  const bool candidate_live = !fit_skipped_ && learner_.trained();
+  bool accept = false;
+  if (candidate_live) {
+    const std::vector<size_t> labeled = pool_.ActiveLabeledRows();
+    std::vector<int> gate(labeled.size());
+    learner_.PredictBatch(pool_.features(), labeled, gate.data());
+    size_t positives = 0;
+    size_t correct = 0;
+    for (size_t i = 0; i < labeled.size(); ++i) {
+      if (gate[i] != 1) continue;
+      ++positives;
+      correct += pool_.LabelOf(labeled[i]) == 1 ? 1 : 0;
+    }
+    accept = positives >= kEnsembleMinLabeledPositives &&
+             static_cast<double>(correct) / static_cast<double>(positives) >=
+                 *config_.ensemble_precision;
+  }
+  // The candidate joins the union only while it looks precise (or before
+  // any member is accepted, when there is nothing else to report): a
+  // candidate trained on the post-coverage residue would otherwise pollute
+  // the union with false positives. It judges exactly the rows no accepted
+  // member covers: gather them, sweep them in one batch, scatter back.
+  const bool include_candidate = candidate_live && (accepted_ == 0 || accept);
+  const std::vector<size_t>& eval_rows = evaluator_.eval_rows();
+  std::vector<size_t> rows;
+  std::vector<size_t> slots;
+  for (size_t i = 0; i < eval_rows.size(); ++i) {
+    (*predictions)[i] = covered_[eval_rows[i]] != kUncovered ? 1 : 0;
+    if ((*predictions)[i] == 0 && include_candidate) {
+      rows.push_back(eval_rows[i]);
+      slots.push_back(i);
+    }
+  }
+  if (!rows.empty()) {
+    std::vector<int> candidate(rows.size());
+    learner_.PredictBatch(pool_.features(), rows, candidate.data());
+    for (size_t j = 0; j < rows.size(); ++j) {
+      (*predictions)[slots[j]] = candidate[j];
+    }
+  }
+  return accept;
+}
+
+void LabelingSession::Cover() {
+  obs::ObsSpan coverage_span("ensemble.coverage", "core");
+  ++accepted_;
+  // Scan every uncovered row still in play: the pool's selectable and
+  // labeled rows, plus the evaluation rows, which a holdout split excludes
+  // from the pool but the ensemble must still judge.
+  std::vector<char> in_play(pool_.size(), 0);
+  for (const size_t row : evaluator_.eval_rows()) in_play[row] = 1;
+  std::vector<size_t> uncovered;
+  uncovered.reserve(pool_.size());
+  for (size_t row = 0; row < pool_.size(); ++row) {
+    if (covered_[row] == kUncovered &&
+        (in_play[row] != 0 || !pool_.IsExcluded(row))) {
+      uncovered.push_back(row);
+    }
+  }
+  std::vector<int> positive(uncovered.size());
+  learner_.PredictBatch(pool_.features(), uncovered, positive.data());
+  for (size_t j = 0; j < uncovered.size(); ++j) {
+    if (positive[j] != 1) continue;
+    const size_t row = uncovered[j];
+    covered_[row] = pool_.IsExcluded(row) ? kCoveredHeldOut : kCovered;
+    pool_.Exclude(row);
+  }
+}
+
+bool LabelingSession::AcceptedLastIteration() const {
+  const size_t n = curve_.size();
+  return n > 0 && curve_[n - 1].ensemble_size >
+                      (n > 1 ? curve_[n - 2].ensemble_size : 0);
 }
 
 std::vector<size_t> LabelingSession::NextBatch() {
@@ -666,7 +734,7 @@ std::vector<size_t> LabelingSession::NextBatch() {
   std::vector<size_t> batch;
   {
     obs::ObsSpan select_span("loop.select", "core");
-    if (!budget_exhausted && !target_reached && !plateaued &&
+    if (!budget_exhausted && !target_reached && !plateaued && !fit_skipped_ &&
         !pool_.unlabeled_rows().empty()) {
       SelectionTiming timing;
       const size_t remaining_budget =
@@ -685,7 +753,8 @@ std::vector<size_t> LabelingSession::NextBatch() {
   }
 
   if (batch.empty()) {
-    // Termination: budget, target, plateau, or selector exhaustion. The
+    // Termination: budget, target, plateau, or selector exhaustion (which
+    // includes an ensemble with nothing left to train on). The
     // no-op label span keeps the terminating iteration's trace shape
     // identical to the historical loop's.
     {
@@ -786,92 +855,6 @@ bool LabelingSession::Reject(std::string message) {
   return false;
 }
 
-void LabelingSession::ResetEvalCache() {
-  eval_cache_.clear();
-  eval_tp_ = eval_fp_ = eval_fn_ = eval_tn_ = 0;
-  eval_audit_countdown_ = 0;
-}
-
-BinaryMetrics LabelingSession::EvaluateIncremental(
-    const std::vector<int>& predictions) {
-  const std::vector<int>& truth = evaluator_.eval_truth();
-  ALEM_CHECK_EQ(predictions.size(), truth.size());
-  static obs::Counter& rescored =
-      obs::MetricsRegistry::Global().GetCounter("eval.rows_rescored");
-  static obs::Gauge& pool_rows =
-      obs::MetricsRegistry::Global().GetGauge("eval.pool_rows");
-  const size_t n = predictions.size();
-  // Published so tooling can bound eval.rows_rescored against the pool
-  // size (tools/trace_summary.py --check).
-  pool_rows.Set(static_cast<double>(n));
-
-  auto full_count = [&](uint64_t* tp, uint64_t* fp, uint64_t* fn,
-                        uint64_t* tn) {
-    *tp = *fp = *fn = *tn = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const bool predicted = predictions[i] == 1;
-      const bool actual = truth[i] == 1;
-      uint64_t& bucket = predicted ? (actual ? *tp : *fp)
-                                   : (actual ? *fn : *tn);
-      ++bucket;
-    }
-  };
-
-  if (eval_cache_.size() != n) {
-    // Cold cache (first incremental iteration, or restore fallback): one
-    // full rescore seeds the tally.
-    full_count(&eval_tp_, &eval_fp_, &eval_fn_, &eval_tn_);
-    eval_cache_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      eval_cache_[i] = static_cast<uint8_t>(predictions[i] == 1 ? 1 : 0);
-    }
-    eval_audit_countdown_ = kEvalAuditInterval;
-    rescored.Add(n);
-    return MetricsFromCounts(eval_tp_, eval_fp_, eval_fn_, eval_tn_);
-  }
-
-  // Warm path: move only the changed rows between confusion buckets. The
-  // tally stays exactly the full recount by induction, and the returned
-  // doubles are bitwise-equal because MetricsFromCounts is the single
-  // counts-to-metrics function.
-  uint64_t changed = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t current = predictions[i] == 1 ? 1 : 0;
-    const uint8_t previous = eval_cache_[i];
-    if (current == previous) continue;
-    ++changed;
-    const bool actual = truth[i] == 1;
-    if (previous == 1) {
-      --(actual ? eval_tp_ : eval_fp_);
-    } else {
-      --(actual ? eval_fn_ : eval_tn_);
-    }
-    if (current == 1) {
-      ++(actual ? eval_tp_ : eval_fp_);
-    } else {
-      ++(actual ? eval_fn_ : eval_tn_);
-    }
-    eval_cache_[i] = current;
-  }
-  rescored.Add(changed);
-
-  // Periodic audit: recount everything and require exact agreement.
-  if (--eval_audit_countdown_ == 0) {
-    eval_audit_countdown_ = kEvalAuditInterval;
-    uint64_t tp = 0;
-    uint64_t fp = 0;
-    uint64_t fn = 0;
-    uint64_t tn = 0;
-    full_count(&tp, &fp, &fn, &tn);
-    rescored.Add(n);
-    ALEM_CHECK_EQ(tp, eval_tp_);
-    ALEM_CHECK_EQ(fp, eval_fp_);
-    ALEM_CHECK_EQ(fn, eval_fn_);
-    ALEM_CHECK_EQ(tn, eval_tn_);
-  }
-  return MetricsFromCounts(eval_tp_, eval_fp_, eval_fn_, eval_tn_);
-}
-
 // ---- Snapshot / restore ------------------------------------------------
 
 bool LabelingSession::SaveTo(SessionSnapshot* snapshot,
@@ -893,12 +876,9 @@ bool LabelingSession::SaveTo(SessionSnapshot* snapshot,
   snapshot->set("LRNR", learner_.SaveModel());
   snapshot->set("SLCT", selector_.SaveState());
   snapshot->set("ORCL", oracle_.SaveState());
-  // The incremental-eval cache travels only when the engine is on and warm:
-  // carrying it keeps eval.rows_rescored identical across save/resume.
-  if (config_.warm_start != WarmStartMode::kOff && !eval_cache_.empty()) {
-    snapshot->set("IEVL",
-                  EncodeEvalCache(eval_cache_, eval_tp_, eval_fp_, eval_fn_,
-                                  eval_tn_, eval_audit_countdown_));
+  if (config_.ensemble_precision) {
+    snapshot->set("ENSM", EncodeEnsemble(*config_.ensemble_precision,
+                                         accepted_, covered_));
   }
   return true;
 }
@@ -982,18 +962,9 @@ std::unique_ptr<LabelingSession> LabelingSession::Restore(
   session->curve_ = std::move(curve);
   session->stable_iterations_ = stable_iterations;
   session->previous_predictions_ = std::move(previous_predictions);
-  // Incremental-eval cache: best-effort. Absent or malformed (corrupt bytes
-  // that still passed the container checksum, or a tally that cannot be
-  // right) falls back to a cold cache — the next Step() does one full
-  // rescore and re-seeds the tally — rather than failing the restore.
-  if (session->config_.warm_start != WarmStartMode::kOff &&
-      snapshot.has("IEVL")) {
-    if (!DecodeEvalCache(snapshot.section("IEVL"), &session->eval_cache_,
-                         &session->eval_tp_, &session->eval_fp_,
-                         &session->eval_fn_, &session->eval_tn_,
-                         &session->eval_audit_countdown_)) {
-      session->ResetEvalCache();
-    }
+  if (snapshot.has("ENSM") &&
+      !session->RestoreEnsemble(snapshot.section("ENSM"), error)) {
+    return nullptr;
   }
   if (session->state_ == SessionState::kFinished) {
     // Nothing left to run; close the run span the restoring constructor
@@ -1001,6 +972,64 @@ std::unique_ptr<LabelingSession> LabelingSession::Restore(
     session->run_span_->Close();
   }
   return session;
+}
+
+bool LabelingSession::RestoreEnsemble(std::string_view blob,
+                                      std::string* error) {
+  ByteReader r(blob);
+  double precision = 0.0;
+  uint64_t accepted = 0;
+  uint64_t count = 0;
+  if (!r.F64(&precision) || !r.U64(&accepted) || !r.U64(&count)) {
+    *error = "session snapshot: truncated ensemble section";
+    return false;
+  }
+  // The accepted count must be the one the curve ends on, and only an
+  // ensemble with members covers rows.
+  const size_t curve_accepted =
+      curve_.empty() ? 0 : curve_.back().ensemble_size;
+  if (!(precision >= 0.0 && precision <= 1.0) || accepted != curve_accepted ||
+      count > pool_.size() || (accepted == 0 && count > 0)) {
+    *error = "session snapshot: inconsistent ensemble section";
+    return false;
+  }
+  std::vector<char> eval_row(pool_.size(), 0);
+  for (const size_t row : evaluator_.eval_rows()) eval_row[row] = 1;
+  std::vector<uint8_t> covered(pool_.size(), kUncovered);
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t row = 0;
+    uint8_t state = 0;
+    if (!r.U64(&row) || !r.U8(&state)) {
+      *error = "session snapshot: truncated ensemble section";
+      return false;
+    }
+    if (row >= pool_.size() || covered[row] != kUncovered) {
+      *error = "session snapshot: ensemble section has a covered row out of "
+               "range or repeated";
+      return false;
+    }
+    // A row the scan excluded must still be in play in the fresh pool; a
+    // held-out one must be an excluded evaluation row.
+    const bool excluded = pool_.IsExcluded(row);
+    if (!(state == kCovered && !excluded) &&
+        !(state == kCoveredHeldOut && excluded && eval_row[row] != 0)) {
+      *error = "session snapshot: ensemble section disagrees with the "
+               "pool's exclusions";
+      return false;
+    }
+    covered[row] = state;
+  }
+  if (!r.AtEnd()) {
+    *error = "session snapshot: trailing bytes in ensemble section";
+    return false;
+  }
+  for (size_t row = 0; row < covered.size(); ++row) {
+    if (covered[row] == kCovered) pool_.Exclude(row);
+  }
+  config_.ensemble_precision = precision;
+  accepted_ = static_cast<size_t>(accepted);
+  covered_ = std::move(covered);
+  return true;
 }
 
 }  // namespace alem

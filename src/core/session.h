@@ -25,7 +25,9 @@
 // Restore(): learner model, labeled-pool contents, selector + oracle RNG
 // streams, the cumulative IterationStats curve, plateau state, and config
 // all round-trip, so the resumed run's curve and RunReport are
-// bitwise-identical to the uninterrupted run at any thread count.
+// bitwise-identical to the uninterrupted run at any thread count. Active
+// ensembles (Section 5.2) are a config of the same loop
+// (ActiveLearningConfig::ensemble_precision), so they resume the same way.
 //
 // Snapshots use the checksummed binary-container conventions of the ALFM
 // feature-cache format: "ALSS" magic, u32 version, u64 payload size, u64
@@ -197,14 +199,18 @@ class LabelingSession {
   void Finish(StopReason reason);
   bool Reject(std::string message);
 
-  // Delta-based progressive F1 (warm_start != kOff; docs/training.md):
-  // updates the TP/FP/FN/TN tally for only the rows whose prediction changed
-  // since the cached previous iteration, falling back to a full rescore when
-  // the cache is cold and auditing against one periodically. Counts updated
-  // rows into eval.rows_rescored. Bitwise-equal doubles to a full
-  // Evaluate(): both funnel through MetricsFromCounts.
-  BinaryMetrics EvaluateIncremental(const std::vector<int>& predictions);
-  void ResetEvalCache();
+  // Active-ensemble steps (config.ensemble_precision set; Section 5.2).
+  // EnsemblePredict judges the candidate's precision gate, fills
+  // `predictions` (aligned with eval_rows) with the union of the accepted
+  // members' positives and the candidate's predictions on the uncovered
+  // rows, and returns whether the candidate is accepted. Cover() records an
+  // accepted candidate's positives and excludes them from the pool.
+  bool EnsemblePredict(std::vector<int>* predictions);
+  void Cover();
+  // True when the previous iteration accepted a member: the training set
+  // just shrank, so the next fit starts cold.
+  bool AcceptedLastIteration() const;
+  bool RestoreEnsemble(std::string_view blob, std::string* error);
 
   Learner& learner_;
   ExampleSelector& selector_;
@@ -228,19 +234,16 @@ class LabelingSession {
   std::vector<int> previous_predictions_;
   size_t stable_iterations_ = 0;
 
-  // Incremental-evaluation cache (warm_start != kOff): the previous
-  // iteration's predictions aligned with evaluator_.eval_rows() (empty =
-  // cold, full rescore next Step), the confusion tally they imply, and the
-  // countdown to the next full-rescore audit. Snapshotted as the "IEVL"
-  // section so eval.rows_rescored stitches exactly across save/resume; a
-  // malformed or absent section degrades to a cold cache, never a restore
-  // failure.
-  std::vector<uint8_t> eval_cache_;
-  uint64_t eval_tp_ = 0;
-  uint64_t eval_fp_ = 0;
-  uint64_t eval_fn_ = 0;
-  uint64_t eval_tn_ = 0;
-  uint32_t eval_audit_countdown_ = 0;
+  // Active-ensemble state, snapshotted as the "ENSM" section: the number
+  // of accepted members, and per pool row whether an accepted member
+  // predicts it positive (kCovered rows were excluded from the pool by the
+  // coverage scan; kCoveredHeldOut rows were already excluded, i.e.
+  // held-out evaluation rows). fit_skipped_ marks a Step whose active
+  // labeled set was single-class, which ends the run.
+  enum Coverage : uint8_t { kUncovered, kCovered, kCoveredHeldOut };
+  size_t accepted_ = 0;
+  std::vector<uint8_t> covered_;
+  bool fit_skipped_ = false;
 
   // The loop.run / loop.iteration trace spans outlive single calls, so the
   // session holds them open across the step-wise API (ObsSpan is

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/active_ensemble.h"
 #include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/learner.h"
@@ -130,12 +129,13 @@ TEST(EdgeCaseTest, EnsembleOnAllNegativePool) {
   ProgressiveEvaluator evaluator(problem.truth);
   SvmLearner candidate{LinearSvmConfig{}};
   MarginSelector selector;
-  ActiveEnsembleConfig config;
-  config.base.max_labels = 60;
-  ActiveEnsembleLoop loop(candidate, selector, oracle, evaluator, config);
+  ActiveLearningConfig config;
+  config.max_labels = 60;
+  config.ensemble_precision = 0.85;
+  ActiveLearningLoop loop(candidate, selector, oracle, evaluator, config);
   const auto curve = loop.Run(pool);
   ASSERT_FALSE(curve.empty());
-  EXPECT_EQ(loop.accepted_count(), 0u);
+  EXPECT_EQ(curve.back().ensemble_size, 0u);
 }
 
 TEST(EdgeCaseTest, SeedLargerThanBudgetCountsQueriesOnce) {

@@ -1,5 +1,4 @@
-// Incremental training engine (docs/training.md): warm-start refits and
-// the delta-based progressive-F1 evaluation.
+// Warm-start training (docs/training.md).
 //
 // The contracts pinned here:
 //   * Warm refits converge: a model warm-started onto a grown labeled set
@@ -10,11 +9,8 @@
 //   * Forest warm fits are path-independent: warm-fitting at n1 then at n2
 //     equals warm-fitting at n2 directly, bitwise — which proves skipped
 //     (untouched) trees are exactly what a refit would have produced.
-//   * The incremental confusion tally equals a full rescore exactly,
-//     including empty and one-row deltas, and warm_start=auto curves are
-//     bitwise-identical to warm_start=off curves.
-//   * The IEVL snapshot section round-trips, and a corrupt section degrades
-//     to a cold evaluation cache — never a restore failure.
+//   * A warm session paused and resumed finishes bitwise-identical to the
+//     uninterrupted warm run.
 
 #include <gtest/gtest.h>
 
@@ -285,52 +281,6 @@ TEST(ForestWarmTest, ColdFitResetsTheWarmWatermark) {
   EXPECT_EQ(SerializeForest(forest).find("warm "), std::string::npos);
 }
 
-// ---- Incremental tally == full rescore ----------------------------------
-
-// Replays the session's delta-tally scheme against ComputeBinaryMetrics
-// over randomized prediction streams, including empty and one-row deltas:
-// both funnel through MetricsFromCounts, so the doubles must be
-// bitwise-equal.
-TEST(IncrementalEvalTest, DeltaTallyMatchesFullRescore) {
-  Rng rng(42);
-  const size_t n = 500;
-  std::vector<int> truth(n);
-  for (size_t i = 0; i < n; ++i) truth[i] = rng.NextDouble() < 0.15 ? 1 : 0;
-
-  std::vector<int> current(n, 0);
-  size_t tp = 0, fp = 0, fn = 0, tn = 0;
-  for (size_t i = 0; i < n; ++i) {
-    (current[i] == 1 ? (truth[i] == 1 ? tp : fp)
-                     : (truth[i] == 1 ? fn : tn))++;
-  }
-
-  for (int round = 0; round < 60; ++round) {
-    // Rounds 0 and 1: empty delta. Round 2: one-row delta. Then random
-    // flip counts in arbitrary index order.
-    size_t flips = 0;
-    if (round == 2) flips = 1;
-    if (round > 2) flips = static_cast<size_t>(rng.NextDouble() * 40);
-    for (size_t f = 0; f < flips; ++f) {
-      const size_t i = static_cast<size_t>(rng.NextDouble() * n) % n;
-      // Remove the row from its old bucket, flip, add to the new one.
-      (current[i] == 1 ? (truth[i] == 1 ? tp : fp)
-                       : (truth[i] == 1 ? fn : tn))--;
-      current[i] = 1 - current[i];
-      (current[i] == 1 ? (truth[i] == 1 ? tp : fp)
-                       : (truth[i] == 1 ? fn : tn))++;
-    }
-    const BinaryMetrics incremental = MetricsFromCounts(tp, fp, fn, tn);
-    const BinaryMetrics full = ComputeBinaryMetrics(current, truth);
-    EXPECT_EQ(incremental.precision, full.precision);  // bitwise doubles
-    EXPECT_EQ(incremental.recall, full.recall);
-    EXPECT_EQ(incremental.f1, full.f1);
-    EXPECT_EQ(incremental.true_positives, full.true_positives);
-    EXPECT_EQ(incremental.false_positives, full.false_positives);
-    EXPECT_EQ(incremental.false_negatives, full.false_negatives);
-    EXPECT_EQ(incremental.true_negatives, full.true_negatives);
-  }
-}
-
 // ---- Session-level warm-start modes --------------------------------------
 
 struct Env {
@@ -353,8 +303,6 @@ ActiveLearningConfig TestConfig(WarmStartMode mode) {
   config.seed_size = 30;
   config.batch_size = 10;
   config.max_labels = 100;
-  // Plateau-termination restarts exercise the interaction between the
-  // prediction cache the plateau check keeps and the evaluation cache.
   config.plateau_window = 50;
   config.warm_start = mode;
   return config;
@@ -408,19 +356,6 @@ std::vector<IterationStats> RunSession(const Problem& problem,
   return std::move(session).TakeCurve();
 }
 
-// `auto` keeps cold refits: the model stream is untouched, so the whole
-// curve must be bitwise-identical to `off` — only the evaluation tally
-// (and its periodic self-audit, which ALEM_CHECKs against a full rescore
-// inside Step) is incremental.
-TEST(WarmStartSessionTest, AutoCurveBitwiseIdenticalToOff) {
-  const Problem problem = MakeProblem(600, 33);
-  const std::vector<IterationStats> off =
-      RunSession(problem, WarmStartMode::kOff);
-  const std::vector<IterationStats> incremental =
-      RunSession(problem, WarmStartMode::kAuto);
-  ExpectCurvesIdentical(off, incremental);
-}
-
 TEST(WarmStartSessionTest, OnCurveConvergesWithinTolerance) {
   const Problem problem = MakeProblem(600, 34);
   const std::vector<IterationStats> off =
@@ -435,28 +370,12 @@ TEST(WarmStartSessionTest, OnCurveConvergesWithinTolerance) {
   EXPECT_NEAR(warm.back().metrics.f1, off.back().metrics.f1, 0.05);
 }
 
-TEST(WarmStartSessionTest, RowsRescoredNeverExceedsPoolPerEval) {
-  obs::MetricsRegistry::Global().ResetAll();
-  obs::SetMetricsEnabled(true);
-  const Problem problem = MakeProblem(600, 35);
-  const std::vector<IterationStats> curve =
-      RunSession(problem, WarmStartMode::kAuto);
-  const uint64_t rescored =
-      obs::MetricsRegistry::Global().GetCounter("eval.rows_rescored").value();
-  EXPECT_GT(rescored, 0u);
-  // Upper bound: every eval full-rescored plus every audit full-rescored.
-  EXPECT_LE(rescored, curve.size() * 2 * problem.truth.size());
-  obs::SetMetricsEnabled(false);
-  obs::MetricsRegistry::Global().ResetAll();
-}
-
-// ---- IEVL snapshot section ----------------------------------------------
+// ---- Warm save/resume -------------------------------------------------
 
 // Pause a warm-start=on run at an iteration boundary, round-trip the ALSS
 // container, restore into a fresh environment, and finish: the stitched
 // curve must equal the uninterrupted warm run bitwise (warm SVM refits are
-// deterministic-restartable, and the IEVL section carries the evaluation
-// cache across the pause).
+// deterministic-restartable).
 TEST(WarmStartSessionTest, WarmSaveResumeBitwiseIdentical) {
   const Problem problem = MakeProblem(600, 36);
   const std::vector<IterationStats> golden =
@@ -475,7 +394,6 @@ TEST(WarmStartSessionTest, WarmSaveResumeBitwiseIdentical) {
     SessionSnapshot saved;
     std::string error;
     ASSERT_TRUE(first.SaveTo(&saved, &error)) << error;
-    EXPECT_TRUE(saved.has("IEVL"));
 
     SessionSnapshot loaded;
     ASSERT_TRUE(SessionSnapshot::Parse(saved.Serialize(), &loaded, &error))
@@ -496,63 +414,16 @@ TEST(WarmStartSessionTest, WarmSaveResumeBitwiseIdentical) {
   }
 }
 
-// A corrupt (or garbage) IEVL section must degrade to a cold evaluation
-// cache on restore — never fail the restore — and since the incremental
-// tally equals a full rescore exactly, the finished curve is still
-// bitwise-identical to the uninterrupted run.
-TEST(WarmStartSessionTest, CorruptEvalCacheFallsBackCold) {
-  const Problem problem = MakeProblem(600, 36);
-  const std::vector<IterationStats> golden =
-      RunSession(problem, WarmStartMode::kOn);
-  ASSERT_GE(golden.size(), 3u);
-
-  Env first_env(problem);
-  LabelingSession first(first_env.learner, first_env.selector,
-                        first_env.oracle, first_env.evaluator, first_env.pool,
-                        TestConfig(WarmStartMode::kOn));
-  Drive(&first, 2);
-  ASSERT_EQ(first.state(), SessionState::kNeedsStep);
-
-  SessionSnapshot saved;
-  std::string error;
-  ASSERT_TRUE(first.SaveTo(&saved, &error)) << error;
-  ASSERT_TRUE(saved.has("IEVL"));
-  saved.set("IEVL", "definitely not a valid eval cache");
-
-  Env second_env(problem);
-  std::unique_ptr<LabelingSession> resumed = LabelingSession::Restore(
-      second_env.learner, second_env.selector, second_env.oracle,
-      second_env.evaluator, second_env.pool, saved, &error);
-  ASSERT_NE(resumed, nullptr) << error;
-  Drive(resumed.get());
-  ASSERT_EQ(resumed->state(), SessionState::kFinished);
-  ExpectCurvesIdentical(golden, std::move(*resumed).TakeCurve());
-}
-
-// Off-mode sessions write no IEVL section: old-reader compatibility and
-// the exact-replay default are unchanged.
-TEST(WarmStartSessionTest, OffModeWritesNoEvalSection) {
-  const Problem problem = MakeProblem(600, 37);
-  Env env(problem);
-  LabelingSession session(env.learner, env.selector, env.oracle,
-                          env.evaluator, env.pool,
-                          TestConfig(WarmStartMode::kOff));
-  Drive(&session, 2);
-  SessionSnapshot saved;
-  std::string error;
-  ASSERT_TRUE(session.SaveTo(&saved, &error)) << error;
-  EXPECT_FALSE(saved.has("IEVL"));
-}
-
 TEST(WarmStartModeTest, NamesRoundTrip) {
   for (const WarmStartMode mode :
-       {WarmStartMode::kOff, WarmStartMode::kOn, WarmStartMode::kAuto}) {
+       {WarmStartMode::kOff, WarmStartMode::kOn}) {
     WarmStartMode parsed = WarmStartMode::kOff;
     ASSERT_TRUE(ParseWarmStartMode(WarmStartModeName(mode), &parsed));
     EXPECT_EQ(parsed, mode);
   }
   WarmStartMode parsed = WarmStartMode::kOff;
   EXPECT_FALSE(ParseWarmStartMode("warm", &parsed));
+  EXPECT_FALSE(ParseWarmStartMode("auto", &parsed));  // Retired mode.
   EXPECT_FALSE(ParseWarmStartMode("", &parsed));
 }
 

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/active_loop.h"
@@ -408,6 +412,261 @@ TEST(LabelingSessionTest, MidIterationSaveRejected) {
 
   ASSERT_FALSE(session.NextBatch().empty());
   EXPECT_FALSE(session.SaveTo(&snapshot, &error));  // kAwaitingLabels
+}
+
+// ---- Snapshot compatibility -------------------------------------------
+
+// Snapshots written before warm-start "auto" was retired keep loading: a
+// BCFG warm byte of 2 ("auto", which refit cold) decodes as "off", and the
+// retired IEVL evaluation-cache section is skipped like any unknown tag.
+TEST(SessionSnapshotTest, RetiredAutoModeAndEvalSectionStillRestore) {
+  const Problem problem = MakeProblem(600, 11);
+  Env golden_env(problem);
+  LabelingSession golden(golden_env.learner, golden_env.selector,
+                         golden_env.oracle, golden_env.evaluator,
+                         golden_env.pool, TestConfig());
+  Drive(&golden);
+
+  Env first_env(problem);
+  LabelingSession first(first_env.learner, first_env.selector,
+                        first_env.oracle, first_env.evaluator, first_env.pool,
+                        TestConfig());
+  Drive(&first, 2);
+  SessionSnapshot snapshot;
+  std::string error;
+  ASSERT_TRUE(first.SaveTo(&snapshot, &error)) << error;
+  std::string config = snapshot.section("BCFG");
+  ASSERT_EQ(config.back(), 0);  // The trailing warm-start byte: "off".
+  config.back() = 2;
+  snapshot.set("BCFG", config);
+  snapshot.set("IEVL", std::string(45, '\x01'));
+
+  SessionSnapshot loaded;
+  ASSERT_TRUE(SessionSnapshot::Parse(snapshot.Serialize(), &loaded, &error))
+      << error;
+  ActiveLearningConfig decoded;
+  ASSERT_TRUE(DecodeSessionLoopConfig(loaded, &decoded));
+  EXPECT_EQ(decoded.warm_start, WarmStartMode::kOff);
+  Env second_env(problem);
+  std::unique_ptr<LabelingSession> resumed = LabelingSession::Restore(
+      second_env.learner, second_env.selector, second_env.oracle,
+      second_env.evaluator, second_env.pool, loaded, &error);
+  ASSERT_NE(resumed, nullptr) << error;
+  Drive(resumed.get());
+  ExpectCurvesIdentical(golden.curve(), resumed->curve());
+}
+
+// ---- Active ensembles -------------------------------------------------
+
+// Two positive clusters, so the ensemble accepts more than one member.
+Problem MakeTwoClusterProblem(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Problem problem;
+  problem.features = FeatureMatrix(n, 2);
+  problem.truth.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t kind = std::min<size_t>(i % 10, 2);
+    const double x = kind == 0 ? 0.85 : kind == 1 ? 0.15 : 0.45;
+    const double y = kind == 0 ? 0.15 : kind == 1 ? 0.85 : 0.45;
+    problem.features.Set(i, 0,
+                         static_cast<float>(x + rng.NextGaussian() * 0.04));
+    problem.features.Set(i, 1,
+                         static_cast<float>(y + rng.NextGaussian() * 0.04));
+    problem.truth[i] = kind < 2 ? 1 : 0;
+  }
+  return problem;
+}
+
+// With `holdout`, every seventh row is a held-out evaluation row excluded
+// from the pool, so snapshots also carry covered held-out rows.
+bool IsHeldOut(size_t row) { return row % 7 == 0; }
+
+struct EnsembleEnv {
+  ActivePool pool;
+  NoisyOracle oracle;
+  std::unique_ptr<Evaluator> evaluator;
+  SvmLearner learner;
+  MarginSelector selector;
+
+  EnsembleEnv(const Problem& problem, bool holdout)
+      : pool(problem.features),
+        oracle(problem.truth, 0.05, 99),
+        learner{LinearSvmConfig{}} {
+    if (!holdout) {
+      evaluator = std::make_unique<ProgressiveEvaluator>(problem.truth);
+      return;
+    }
+    std::vector<size_t> rows;
+    std::vector<int> truth;
+    for (size_t row = 0; row < pool.size(); ++row) {
+      if (!IsHeldOut(row)) continue;
+      rows.push_back(row);
+      truth.push_back(problem.truth[row]);
+      pool.Exclude(row);
+    }
+    evaluator = std::make_unique<HoldoutEvaluator>(rows, truth);
+  }
+
+  std::unique_ptr<LabelingSession> Restore(const SessionSnapshot& snapshot,
+                                           std::string* error) {
+    return LabelingSession::Restore(learner, selector, oracle, *evaluator,
+                                    pool, snapshot, error);
+  }
+};
+
+ActiveLearningConfig EnsembleTestConfig() {
+  ActiveLearningConfig config = TestConfig();
+  config.max_labels = 150;
+  config.ensemble_precision = 0.85;
+  return config;
+}
+
+void EnsembleSaveRestoreAtEveryBoundary(int threads, bool holdout) {
+  parallel::SetNumThreads(threads);
+  const Problem problem = MakeTwoClusterProblem(600, 21);
+  EnsembleEnv golden_env(problem, holdout);
+  LabelingSession golden(golden_env.learner, golden_env.selector,
+                         golden_env.oracle, *golden_env.evaluator,
+                         golden_env.pool, EnsembleTestConfig());
+  Drive(&golden);
+  ASSERT_EQ(golden.state(), SessionState::kFinished);
+  ASSERT_GE(golden.curve().back().ensemble_size, 2u);
+
+  for (size_t boundary = 1; boundary < golden.curve().size(); ++boundary) {
+    SCOPED_TRACE("boundary " + std::to_string(boundary) + ", threads " +
+                 std::to_string(threads) + ", holdout " +
+                 std::to_string(holdout));
+    EnsembleEnv first_env(problem, holdout);
+    LabelingSession first(first_env.learner, first_env.selector,
+                          first_env.oracle, *first_env.evaluator,
+                          first_env.pool, EnsembleTestConfig());
+    Drive(&first, boundary);
+    ASSERT_EQ(first.state(), SessionState::kNeedsStep);
+    SessionSnapshot saved;
+    std::string error;
+    ASSERT_TRUE(first.SaveTo(&saved, &error)) << error;
+    ASSERT_TRUE(saved.has("ENSM"));
+    SessionSnapshot loaded;
+    ASSERT_TRUE(SessionSnapshot::Parse(saved.Serialize(), &loaded, &error))
+        << error;
+
+    EnsembleEnv second_env(problem, holdout);
+    std::unique_ptr<LabelingSession> resumed =
+        second_env.Restore(loaded, &error);
+    ASSERT_NE(resumed, nullptr) << error;
+    ASSERT_TRUE(resumed->config().ensemble_precision.has_value());
+    Drive(resumed.get());
+    EXPECT_EQ(resumed->stop_reason(), golden.stop_reason());
+    ExpectCurvesIdentical(golden.curve(), resumed->curve());
+  }
+  parallel::SetNumThreads(1);
+}
+
+TEST(EnsembleSnapshotTest, SaveRestoreBitwiseEveryBoundarySingleThread) {
+  EnsembleSaveRestoreAtEveryBoundary(1, /*holdout=*/false);
+  EnsembleSaveRestoreAtEveryBoundary(1, /*holdout=*/true);
+}
+
+TEST(EnsembleSnapshotTest, SaveRestoreBitwiseEveryBoundaryFourThreads) {
+  EnsembleSaveRestoreAtEveryBoundary(4, /*holdout=*/false);
+  EnsembleSaveRestoreAtEveryBoundary(4, /*holdout=*/true);
+}
+
+// The ENSM payload: f64 precision, u64 accepted, u64 count, then count
+// entries of (u64 row, u8 state); state 1 = excluded by coverage, 2 =
+// covered held-out row.
+struct EnsembleSection {
+  std::string head;  // precision + accepted
+  std::vector<std::pair<uint64_t, uint8_t>> rows;
+
+  static EnsembleSection Parse(const std::string& blob) {
+    EnsembleSection section;
+    section.head = blob.substr(0, 16);
+    uint64_t count = 0;
+    std::memcpy(&count, blob.data() + 16, sizeof(count));
+    EXPECT_EQ(blob.size(), 24 + count * 9);
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t row = 0;
+      std::memcpy(&row, blob.data() + 24 + i * 9, sizeof(row));
+      section.rows.emplace_back(row, static_cast<uint8_t>(blob[32 + i * 9]));
+    }
+    return section;
+  }
+
+  std::string Serialize() const {
+    std::string blob = head;
+    const uint64_t count = rows.size();
+    blob.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    for (const auto& [row, state] : rows) {
+      blob.append(reinterpret_cast<const char*>(&row), sizeof(row));
+      blob.push_back(static_cast<char>(state));
+    }
+    return blob;
+  }
+};
+
+// Every corrupt ENSM section must fail Restore with an error, never crash.
+TEST(EnsembleSnapshotTest, CorruptEnsembleSectionFailsRestore) {
+  const Problem problem = MakeTwoClusterProblem(600, 21);
+  EnsembleEnv env(problem, /*holdout=*/true);
+  LabelingSession session(env.learner, env.selector, env.oracle,
+                          *env.evaluator, env.pool, EnsembleTestConfig());
+  while (!session.finished() && (session.curve().empty() ||
+                                 session.curve().back().ensemble_size == 0)) {
+    Drive(&session, session.curve().size() + 1);
+  }
+  ASSERT_EQ(session.state(), SessionState::kNeedsStep);
+  SessionSnapshot snapshot;
+  std::string error;
+  ASSERT_TRUE(session.SaveTo(&snapshot, &error)) << error;
+  const std::string blob = snapshot.section("ENSM");
+  const EnsembleSection section = EnsembleSection::Parse(blob);
+  ASSERT_EQ(section.Serialize(), blob);
+  size_t excluded_entry = section.rows.size();
+  size_t held_out_entries = 0;
+  for (size_t i = 0; i < section.rows.size(); ++i) {
+    if (section.rows[i].second == 1) excluded_entry = i;
+    held_out_entries += section.rows[i].second == 2 ? 1 : 0;
+  }
+  ASSERT_LT(excluded_entry, section.rows.size());
+  EXPECT_GT(held_out_entries, 0u);  // Holdout coverage is recorded.
+  {
+    EnsembleEnv fresh(problem, /*holdout=*/true);
+    ASSERT_NE(fresh.Restore(snapshot, &error), nullptr) << error;
+  }
+
+  EnsembleSection out_of_range = section;
+  out_of_range.rows[excluded_entry].first = problem.truth.size();
+  EnsembleSection duplicate = section;
+  duplicate.rows.push_back(section.rows[excluded_entry]);
+  // A held-out row (already excluded by the split) claimed as a row the
+  // coverage scan excluded.
+  EnsembleSection already_excluded = section;
+  for (size_t row = 0;; row += 7) {
+    ASSERT_TRUE(IsHeldOut(row));
+    if (std::none_of(section.rows.begin(), section.rows.end(),
+                     [&](const auto& entry) { return entry.first == row; })) {
+      already_excluded.rows[excluded_entry].first = row;
+      break;
+    }
+  }
+  const std::vector<std::pair<std::string, std::string>> corrupt = {
+      {"out of range", out_of_range.Serialize()},
+      {"duplicate", duplicate.Serialize()},
+      {"already excluded", already_excluded.Serialize()},
+      {"truncated", blob.substr(0, blob.size() - 1)},
+      {"truncated header", blob.substr(0, 12)},
+      {"trailing bytes", blob + "x"},
+  };
+  for (const auto& [name, bytes] : corrupt) {
+    SCOPED_TRACE(name);
+    SessionSnapshot bad = snapshot;
+    bad.set("ENSM", bytes);
+    EnsembleEnv fresh(problem, /*holdout=*/true);
+    error.clear();
+    EXPECT_EQ(fresh.Restore(bad, &error), nullptr);
+    EXPECT_NE(error.find("ensemble section"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 //       [--max-labels=N] [--batch=N] [--seed-size=N] [--noise=P]
 //       [--holdout] [--scale=S] [--seed=N] [--save-model=PATH] [--quiet]
 //       [--threads=N] [--cache-dir=DIR] [--no-cache]
-//       [--kernel-backend=auto|scalar|avx2] [--warm-start=off|on|auto]
+//       [--kernel-backend=auto|scalar|avx2] [--warm-start=off|on]
 //       [--trace=PATH.json] [--trace-jsonl=PATH.jsonl] [--metrics=PATH.csv]
 //       [--report=PATH.json] [--telemetry-hz=HZ] [--profile-regions[=CSV]]
 //       Runs one active-learning experiment and prints the learning curve.
@@ -29,13 +29,10 @@
 //       instead warns and falls back to auto). Curves are bitwise-
 //       identical across backends (docs/kernels.md); the choice is
 //       stamped into config.kernel_backend of the report. --warm-start
-//       selects the incremental training + evaluation engine
-//       (docs/training.md): off (default) refits cold and rescores the
-//       full pool every iteration — the exact-replay path the golden
-//       baselines pin; on warm-starts refits from the previous model and
-//       keeps the progressive-F1 tally incrementally (curves gated by F1
-//       tolerance, not bitwise); auto keeps cold refits but evaluates
-//       incrementally (curves stay bitwise-identical to off). An unknown
+//       selects warm-start refits (docs/training.md): off (default) refits
+//       cold every iteration — the exact-replay path the golden baselines
+//       pin; on warm-starts refits from the previous model (curves gated
+//       by F1 tolerance, not bitwise). An unknown
 //       flag value is an error — the ALEM_WARM_START env knob instead
 //       warns and falls back to off. The mode is stamped into
 //       config.warm_start of the report; a resumed session always
@@ -63,7 +60,7 @@
 //   alem_cli session <run|save|resume>
 //       Drives a run through the step-wise LabelingSession API
 //       (docs/sessions.md). `session run` takes the same flags as `run`
-//       (ensemble approaches excluded) and behaves identically. `session
+//       (active ensembles included) and behaves identically. `session
 //       save --snapshot=PATH [--stop-after=N]` pauses after N iterations
 //       and writes a checksummed ALSS snapshot — learner model, labeled
 //       pool, selector/oracle RNG streams, curve, config, metric totals.
@@ -204,7 +201,7 @@ bool RunConfigFromFlags(const FlagParser& flags, const ApproachSpec& spec,
     if (!ParseWarmStartMode(value, &config->warm_start)) {
       std::fprintf(stderr,
                    "error: --warm-start: unknown mode '%s' (expected "
-                   "off|on|auto)\n",
+                   "off|on)\n",
                    value.c_str());
       return false;
     }
@@ -324,10 +321,6 @@ int CommandSessionStart(const FlagParser& flags, bool save) {
   if (!ApproachFromName(approach_name, &spec)) {
     std::fprintf(stderr, "unknown approach '%s' (try: alem_cli list)\n",
                  approach_name.c_str());
-    return 1;
-  }
-  if (spec.active_ensemble) {
-    std::fprintf(stderr, "active-ensemble approaches are not sessionable\n");
     return 1;
   }
   const obs::ArtifactOptions artifacts = obs::ArtifactOptionsFromFlags(

@@ -49,14 +49,18 @@
 #      committed uninterrupted baseline with the curve exact and every
 #      counter exact (--exact-curve --counter-tol=0), stamped
 #      config.session="resumed" / session_resumes=1 (docs/sessions.md).
-#  10. Incremental engine (docs/training.md): a --warm-start=auto run must
-#      replay the committed cold baseline bitwise (cold refits +
-#      incremental tally == exact replay); a --warm-start=on run must stay
-#      within the F1 tolerance of it with warm/cold fit counters
+#  10. Warm starts (docs/training.md): a --warm-start=on run must stay
+#      within the F1 tolerance of a cold run with warm/cold fit counters
 #      consistent and config.warm_start stamped; and the warm run paused
 #      after 2 iterations and resumed in a fresh process must replay the
-#      uninterrupted warm run bitwise (warm refits are restartable; the
-#      IEVL section stitches eval.rows_rescored exactly).
+#      uninterrupted warm run bitwise (warm refits are restartable).
+#  11. Active ensemble (Section 5.2): cold runs of the golden
+#      linear-margin-ensemble workload (100 labels, two accepted members)
+#      on every available kernel backend must replay its committed
+#      baseline with the curve exact and every counter exact.
+#  12. Ensemble sessions: the same workload saved after 4 iterations
+#      (one member accepted) and resumed in a fresh 4-thread process must
+#      replay that baseline exactly (docs/sessions.md).
 set -eu
 
 build_dir="${1:-build}"
@@ -76,7 +80,8 @@ trap 'rm -rf "$work"' EXIT
 for f in "$cli" "$report_tool" \
     "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$baseline_dir/cli_abtbuy_trees5.report.json" \
-    "$baseline_dir/cli_abtbuy_linear_qbc4.report.json"; do
+    "$baseline_dir/cli_abtbuy_linear_qbc4.report.json" \
+    "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json"; do
   if [ ! -e "$f" ]; then
     echo "error: missing $f" >&2
     exit 1
@@ -92,14 +97,14 @@ run_cli() {
       "$@" > /dev/null
 }
 
-echo "[1/10] determinism: cold cached t1 curve == uncached t4 curve"
+echo "[1/12] determinism: cold cached t1 curve == uncached t4 curve"
 mkdir -p "$work/cache"
 run_cli linear-margin 1 "$work/t1.report.json" --cache-dir="$work/cache"
 run_cli linear-margin 4 "$work/t4.report.json" --no-cache
 "$report_tool" check "$work/t1.report.json" "$work/t4.report.json" \
     --exact-curve
 
-echo "[2/10] cache warmth: warm rerun identical, provenance says hit"
+echo "[2/12] cache warmth: warm rerun identical, provenance says hit"
 run_cli linear-margin 1 "$work/warm.report.json" --cache-dir="$work/cache"
 "$report_tool" check "$work/t1.report.json" "$work/warm.report.json" \
     --exact-curve
@@ -119,7 +124,7 @@ assert warm["counters"].get("featurize.cache.hit") == 1, warm["counters"]
 assert warm["counters"].get("featurize.cache.miss", 0) == 0, warm["counters"]
 EOF
 
-echo "[3/10] quality: three golden workloads within tolerance, counters exact"
+echo "[3/12] quality: three golden workloads within tolerance, counters exact"
 for approach in linear-margin trees5 linear-qbc4; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   candidate="$work/cand_$name.report.json"
@@ -134,7 +139,7 @@ for approach in linear-margin trees5 linear-qbc4; do
       --counter-tol=0
 done
 
-echo "[4/10] sensitivity: perturbed baseline must fail the check"
+echo "[4/12] sensitivity: perturbed baseline must fail the check"
 python3 - "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$work/perturbed.json" <<'EOF'
 import json, sys
@@ -154,7 +159,7 @@ if "$report_tool" check "$work/perturbed.json" "$work/t1.report.json" \
 fi
 echo "perturbed baseline rejected as expected"
 
-echo "[5/10] bench path: ALEM_REPORT_DIR export + aggregation"
+echo "[5/12] bench path: ALEM_REPORT_DIR export + aggregation"
 mkdir -p "$work/reports"
 ALEM_REPORT_DIR="$work/reports" ALEM_SCALE=0.2 ALEM_MAX_LABELS=40 \
     ALEM_THREADS=2 "$build_dir/bench/bench_fig10d_blocking_time" \
@@ -170,7 +175,7 @@ assert agg["kind"] == "aggregate", agg.get("kind")
 assert len(agg["reports"]) >= 1, "aggregate rolled up no reports"
 EOF
 
-echo "[6/10] tail latency: telemetry run, pool invariant, p95 determinism"
+echo "[6/12] tail latency: telemetry run, pool invariant, p95 determinism"
 run_cli linear-margin 4 "$work/lat4.report.json" --no-cache \
     --telemetry-hz=50 --trace="$work/lat4.trace.json" \
     --metrics="$work/lat4.metrics.csv"
@@ -217,7 +222,7 @@ if "$report_tool" check "$work/lat_perturbed.json" "$work/lat4.report.json" \
 fi
 echo "perturbed latency baseline rejected as expected"
 
-echo "[7/10] kernel backends: scalar golden replay, per-backend equivalence"
+echo "[7/12] kernel backends: scalar golden replay, per-backend equivalence"
 # Scalar-forced cold runs must replay all three committed baselines with
 # every counter exact — pins the scalar reference path end to end.
 for approach in linear-margin trees5 linear-qbc4; do
@@ -258,7 +263,7 @@ assert stamped == "scalar", (
     f"config.kernel_backend is {stamped!r}, expected 'scalar'")
 EOF
 
-echo "[8/10] roofline profile: bitwise replay, work-counter invariants"
+echo "[8/12] roofline profile: bitwise replay, work-counter invariants"
 # A profiled cold run (default curated region set) must not perturb the
 # workload: the curve and every counter must replay the golden baseline
 # exactly, even while HW counters and work accounting are live.
@@ -321,7 +326,7 @@ assert {"sim.batch", "ml.batch"} <= names, names
 assert all(r["items_per_sec"] >= 0 for r in profile["regions"])
 EOF
 
-echo "[9/10] resumable sessions: half-run save, fresh-process resume, stitch"
+echo "[9/12] resumable sessions: half-run save, fresh-process resume, stitch"
 # Pause the golden linear-margin workload after 2 iterations (cold cache,
 # matching the baseline's featurize.cache.* counters), resume it in a NEW
 # process at 4 threads with the cache disabled, and require the stitched
@@ -351,16 +356,7 @@ assert config.get("session_resumes") == 1, config.get("session_resumes")
 EOF
 echo "resumed run replays the golden baseline exactly"
 
-echo "[10/10] incremental engine: auto bitwise, warm gated, warm resume"
-# auto = incremental evaluation with cold refits: the model stream is
-# untouched, so the curve and every baseline counter must replay the
-# committed cold baseline exactly.
-mkdir -p "$work/cache_warm_auto"
-run_cli linear-margin 1 "$work/warm_auto.report.json" \
-    --cache-dir="$work/cache_warm_auto" --warm-start=auto
-"$report_tool" check \
-    "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
-    "$work/warm_auto.report.json" --exact-curve --counter-tol=0
+echo "[10/12] warm starts: warm gated, warm resume"
 # on = warm refits: the curve is gated against a cold run by F1 tolerance,
 # not bitwise. The comparison runs at 150 labels against a freshly
 # generated cold reference rather than the committed 60-label baseline:
@@ -384,31 +380,23 @@ run_cli linear-margin 1 "$work/warm_on.report.json" \
     --cache-dir="$work/cache_warm_on" --warm-start=on
 python3 "$repo_root/tools/trace_summary.py" --check \
     --report "$work/warm_on.report.json"
-python3 - "$work/warm_on.report.json" "$work/warm_auto.report.json" <<'EOF'
+python3 - "$work/warm_on.report.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     on = json.load(f)
-with open(sys.argv[2]) as f:
-    auto = json.load(f)
 assert on["config"].get("warm_start") == "on", on["config"]
-assert auto["config"].get("warm_start") == "auto", auto["config"]
-for report, label in ((on, "on"), (auto, "auto")):
-    c = report["counters"]
-    fits = c.get("ml.fit_calls", 0)
-    warm = c.get("ml.warm_fits", 0)
-    cold = c.get("ml.cold_fits", 0)
-    assert fits > 0 and warm + cold == fits, (
-        f"{label}: warm {warm} + cold {cold} != fit_calls {fits}")
-    assert c.get("eval.rows_rescored", 0) > 0, f"{label}: no rescore counter"
+c = on["counters"]
+fits = c.get("ml.fit_calls", 0)
+warm = c.get("ml.warm_fits", 0)
+cold = c.get("ml.cold_fits", 0)
+assert fits > 0 and warm + cold == fits, (
+    f"warm {warm} + cold {cold} != fit_calls {fits}")
 # Warm mode must actually take the warm path after the first (cold) fit.
-assert on["counters"]["ml.warm_fits"] == on["counters"]["ml.fit_calls"] - 1, \
-    on["counters"]
-assert auto["counters"].get("ml.warm_fits", 0) == 0, auto["counters"]
+assert warm == fits - 1, c
 EOF
 # Warm save/resume: pause the warm run after 2 iterations and resume in a
 # fresh process — the stitched report must replay the uninterrupted warm
-# run bitwise (curve exact, every counter exact, including the stitched
-# eval.rows_rescored carried by the IEVL snapshot section).
+# run bitwise (curve exact, every counter exact).
 mkdir -p "$work/cache_warm_session"
 "$cli" session save --dataset=Abt-Buy --approach=linear-margin \
     --scale=0.25 --max-labels=60 --threads=1 --warm-start=on \
@@ -428,5 +416,32 @@ assert config.get("session") == "resumed", config.get("session")
 assert config.get("warm_start") == "on", config.get("warm_start")
 EOF
 echo "warm resume replays the uninterrupted warm run exactly"
+
+ensemble_baseline="$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json"
+echo "[11/12] active ensemble: golden replay on every kernel backend"
+for backend in $backends; do
+  mkdir -p "$work/cache_ens_$backend"
+  "$cli" run --dataset=Abt-Buy --approach=linear-margin-ensemble \
+      --scale=0.25 --max-labels=100 --threads=1 --quiet \
+      --kernel-backend="$backend" --cache-dir="$work/cache_ens_$backend" \
+      --report="$work/ens_$backend.report.json" > /dev/null
+  "$report_tool" check "$ensemble_baseline" \
+      "$work/ens_$backend.report.json" --exact-curve --counter-tol=0
+done
+
+echo "[12/12] ensemble sessions: save after an acceptance, 4-thread resume"
+mkdir -p "$work/cache_ens_session"
+"$cli" session save --dataset=Abt-Buy --approach=linear-margin-ensemble \
+    --scale=0.25 --max-labels=100 --threads=1 \
+    --cache-dir="$work/cache_ens_session" \
+    --snapshot="$work/ens_gate.alss" --stop-after=4 > /dev/null
+"$cli" session resume --snapshot="$work/ens_gate.alss" --threads=4 \
+    --no-cache --quiet --report="$work/ens_resumed.report.json" > /dev/null
+"$report_tool" check "$ensemble_baseline" "$work/ens_resumed.report.json" \
+    --exact-curve --counter-tol=0
+for report in "$work/ens_scalar.report.json" "$work/ens_resumed.report.json"; do
+  python3 "$repo_root/tools/trace_summary.py" --check --report "$report"
+done
+echo "resumed ensemble replays the golden baseline exactly"
 
 echo "report gate OK"

@@ -385,7 +385,7 @@ def check_report(report_path):
     failures.extend(check_report_latency(report))
     failures.extend(check_report_pool(report))
     failures.extend(check_report_profile(report))
-    failures.extend(check_report_warm_start(report, kind))
+    failures.extend(check_report_warm_start(report))
 
     if kind == "run":
         curve = report.get("curve", [])
@@ -461,18 +461,14 @@ def check_report_cache(report, kind):
     return failures
 
 
-def check_report_warm_start(report, kind):
-    """Validates the incremental-engine counters (docs/training.md).
+def check_report_warm_start(report):
+    """Validates the warm-start counters (docs/training.md).
 
     The fit-path split must tally: every Learner::Fit lands in exactly one
     of ml.warm_fits / ml.cold_fits, so their sum equals ml.fit_calls
     whenever the split counters are present. config.warm_start (optional
-    on old reports) must be a known mode; with the engine off no warm fit
-    and no incremental rescore may be recorded, and with it on/auto a
-    "run" report must have rescored something, bounded per evaluation by
-    the pool size: each of the curve's evaluations rescores at most the
-    full pool once, plus at most one full-rescore audit, so the counter
-    can never exceed 2 * iterations * eval.pool_rows.
+    on old reports) must be a known mode, and with warm starts off no warm
+    fit may be recorded.
     """
     failures = []
     counters = report.get("counters", {})
@@ -484,35 +480,11 @@ def check_report_warm_start(report, kind):
         failures.append(f"ml.warm_fits {warm} + ml.cold_fits {cold} != "
                         f"ml.fit_calls {fits}")
     mode = report.get("config", {}).get("warm_start", "off")
-    if mode not in ("off", "on", "auto"):
-        failures.append(f"config.warm_start is '{mode}' (expected "
-                        "off/on/auto)")
-        return failures
-    rescored = counters.get("eval.rows_rescored", 0)
-    if mode == "off":
-        if warm > 0:
-            failures.append(f"config.warm_start is 'off' but ml.warm_fits "
-                            f"is {warm}")
-        if rescored > 0:
-            failures.append("config.warm_start is 'off' but "
-                            f"eval.rows_rescored is {rescored}")
-        return failures
-    if mode == "auto" and warm > 0:
-        failures.append(f"config.warm_start is 'auto' (cold refits) but "
-                        f"ml.warm_fits is {warm}")
-    if kind == "run":
-        if rescored <= 0:
-            failures.append(f"config.warm_start is '{mode}' but "
-                            "eval.rows_rescored is zero or missing")
-        pool_rows = report.get("gauges", {}).get("eval.pool_rows", 0)
-        iterations = len(report.get("curve", []))
-        if pool_rows <= 0:
-            failures.append(f"config.warm_start is '{mode}' but the "
-                            "eval.pool_rows gauge is zero or missing")
-        elif rescored > 2 * iterations * pool_rows:
-            failures.append(f"eval.rows_rescored {rescored} exceeds "
-                            f"2 * {iterations} iterations * "
-                            f"{int(pool_rows)} pool rows")
+    if mode not in ("off", "on"):
+        failures.append(f"config.warm_start is '{mode}' (expected off/on)")
+    elif mode == "off" and warm > 0:
+        failures.append(f"config.warm_start is 'off' but ml.warm_fits "
+                        f"is {warm}")
     return failures
 
 

@@ -2,8 +2,10 @@
 # Regenerates the golden RunReport baselines that the `report` ctest label
 # gates against (bench/baselines/cli_abtbuy_*.report.json): one per golden
 # workload — linear-margin (margin selection), trees5 (forest + QBC),
-# linear-qbc4 (bootstrap committee), and linear-margin-ensemble (the §5.2
-# active ensemble; 100 labels, so that it accepts two members and both the
+# linear-qbc4 (bootstrap committee), rules (DNF rules + LFP/LFN; the run
+# ends by selector exhaustion), supervised-trees5 (random batches, so no
+# example is ever scored), and linear-margin-ensemble (the §5.2 active
+# ensemble; 100 labels, so that it accepts two members and both the
 # acceptance and the residue paths run).
 #
 # Run this after a change that *intentionally* moves a learning curve or a
@@ -48,7 +50,8 @@ fi
 mkdir -p "$baseline_dir"
 # The exact workloads the report_gate test replays: small enough to run in
 # seconds, deterministic at any thread count.
-for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble; do
+for approach in linear-margin trees5 linear-qbc4 rules supervised-trees5 \
+    linear-margin-ensemble; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   baseline="$baseline_dir/cli_abtbuy_$name.report.json"
   labels=60

@@ -16,7 +16,7 @@ namespace {
 // to load-balance across workers, large enough to amortize dispatch.
 constexpr size_t kScoringGrain = 256;
 
-// Scored candidate with a random key for tie-breaking; sorting is by
+// Scored candidate with a random key for tie-breaking; ranking is by
 // (score, tie) so equal scores resolve uniformly at random.
 struct ScoredRow {
   size_t row;
@@ -24,8 +24,10 @@ struct ScoredRow {
   uint64_t tie;
 };
 
-// Picks the k candidates with the *largest* score.
-std::vector<size_t> TopKLargest(std::vector<ScoredRow>& scored, size_t k) {
+// Picks the k candidates with the *largest* score. Strategies that want the
+// smallest rank by the negated score, which yields the same comparator
+// outcomes.
+std::vector<size_t> TopK(std::vector<ScoredRow>& scored, size_t k) {
   k = std::min(k, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + static_cast<long>(k),
                     scored.end(), [](const ScoredRow& a, const ScoredRow& b) {
@@ -37,24 +39,32 @@ std::vector<size_t> TopKLargest(std::vector<ScoredRow>& scored, size_t k) {
   return rows;
 }
 
-// Picks the k candidates with the *smallest* score.
-std::vector<size_t> TopKSmallest(std::vector<ScoredRow>& scored, size_t k) {
-  k = std::min(k, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<long>(k),
-                    scored.end(), [](const ScoredRow& a, const ScoredRow& b) {
-                      if (a.score != b.score) return a.score < b.score;
-                      return a.tie < b.tie;
-                    });
-  std::vector<size_t> rows(k);
-  for (size_t i = 0; i < k; ++i) rows[i] = scored[i].row;
-  return rows;
+// Vote-variance ranking shared by both QBC flavors: rows[i] scores
+// p(1 - p) for its committee's positive fraction p = fractions[i]. Tie keys
+// are hashed from (tie_seed, row) — the seed is the RNG's next draw — so
+// they do not depend on scoring order.
+std::vector<size_t> TopVoteVariance(Rng& rng, const std::vector<size_t>& rows,
+                                    const std::vector<double>& fractions,
+                                    size_t k) {
+  const uint64_t tie_seed = rng.Next();
+  std::vector<ScoredRow> scored(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const double p = fractions[i];
+    scored[i] = ScoredRow{rows[i], p * (1.0 - p),
+                          parallel::TaskSeed(tie_seed, rows[i])};
+  }
+  return TopK(scored, k);
+}
+
+template <typename RequiredLearner>
+bool IsA(const Learner& model) {
+  return dynamic_cast<const RequiredLearner*>(&model) != nullptr;
 }
 
 // Metrics shared by all selectors: #examples fully scored and #examples
 // skipped by selection-time blocking (paper Section 5.1). Scored examples
 // double as the selector.scoring region's work items when that region is
-// profiled (obs/profile.h) — every CountScored call happens inside the
-// selector's scoring span.
+// profiled (obs/profile.h). The Select skeleton is the only caller.
 void CountScored(size_t scored) {
   static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("selector.scored_examples");
@@ -123,141 +133,134 @@ CommitteeMemberSeeds MemberSeeds(uint64_t round_seed, int member) {
   return seeds;
 }
 
-// ---- RandomSelector ----
+// ---- The skeleton ----
 
-std::vector<size_t> RandomSelector::Select(const Learner& model,
-                                           const ActivePool& pool, size_t k,
-                                           SelectionTiming* timing) {
-  (void)model;
-  obs::ObsSpan scoring_span("selector.scoring", "selector", "Random");
-  const std::vector<size_t>& unlabeled = pool.unlabeled_rows();
-  const size_t take = std::min(k, unlabeled.size());
-  std::vector<size_t> picks =
-      rng_.SampleWithoutReplacement(unlabeled.size(), take);
-  std::vector<size_t> rows(take);
-  for (size_t i = 0; i < take; ++i) rows[i] = unlabeled[picks[i]];
-  const double scoring_seconds = scoring_span.Close();
-  if (timing != nullptr) {
-    timing->scoring_seconds = scoring_seconds;
-    timing->scored_examples = 0;
-  }
-  return rows;
+ExampleSelector::ExampleSelector(Traits traits)
+    : detail_(std::move(traits.detail)),
+      accepts_(traits.accepts),
+      committee_size_(traits.committee_size) {
+  if (traits.seed) rng_.emplace(*traits.seed);
 }
 
-bool RandomSelector::CompatibleWith(const Learner& model) const {
+std::vector<size_t> ExampleSelector::Select(const Learner& model,
+                                            const ActivePool& pool, size_t k,
+                                            SelectionTiming* timing) {
+  ALEM_CHECK(CompatibleWith(model));
+  if (pool.unlabeled_rows().empty()) return {};
+
+  // Committee creation: bootstrap-resample the labeled data and train one
+  // clone per member (one pool task each). This is the dominant cost of
+  // learner-agnostic QBC (dashed lines in Fig. 10a-b).
+  Committee committee;
+  double committee_seconds = 0.0;
+  if (committee_size_ > 0) {
+    obs::ObsSpan committee_span("selector.committee", "selector", detail_);
+    committee =
+        FitBootstrapCommittee(model, pool, committee_size_, rng_->Next());
+    committee_seconds = committee_span.Close();
+  }
+
+  obs::ObsSpan scoring_span("selector.scoring", "selector", detail_);
+  Picks picks = Pick(model, pool, committee, k);
+  const double scoring_seconds = scoring_span.Close();
+  if (picks.scored) CountScored(*picks.scored);
+  if (picks.pruned) CountPruned(*picks.pruned);
+  if (timing != nullptr) {
+    timing->committee_seconds = committee_seconds;
+    timing->scoring_seconds = scoring_seconds;
+    timing->scored_examples = picks.scored.value_or(0);
+    timing->pruned_examples = picks.pruned.value_or(0);
+  }
+  return std::move(picks.rows);
+}
+
+// ---- RandomSelector ----
+
+RandomSelector::RandomSelector(uint64_t seed)
+    : ExampleSelector({.detail = "Random", .seed = seed}) {}
+
+ExampleSelector::Picks RandomSelector::Pick(const Learner& model,
+                                            const ActivePool& pool,
+                                            const Committee& committee,
+                                            size_t k) {
   (void)model;
-  return true;
+  (void)committee;
+  const std::vector<size_t>& unlabeled = pool.unlabeled_rows();
+  std::vector<size_t> rows = rng().SampleWithoutReplacement(
+      unlabeled.size(), std::min(k, unlabeled.size()));
+  for (size_t& row : rows) row = unlabeled[row];
+  return {std::move(rows)};  // Nothing is scored.
 }
 
 // ---- QbcSelector ----
 
 QbcSelector::QbcSelector(int committee_size, uint64_t seed)
-    : committee_size_(committee_size), rng_(seed) {
+    : ExampleSelector(
+          {.detail = "QBC(" + std::to_string(committee_size) + ")",
+           .committee_size = committee_size,
+           .seed = seed}) {
   ALEM_CHECK_GE(committee_size, 2);
-  name_ = "QBC(" + std::to_string(committee_size) + ")";
 }
 
-std::vector<size_t> QbcSelector::Select(const Learner& model,
-                                        const ActivePool& pool, size_t k,
-                                        SelectionTiming* timing) {
+ExampleSelector::Picks QbcSelector::Pick(const Learner& model,
+                                         const ActivePool& pool,
+                                         const Committee& committee,
+                                         size_t k) {
+  (void)model;
+  // Each member sweeps the whole pool through its batch kernel (the
+  // PredictBatch fan-out runs under "ml.batch" inside the scoring span);
+  // integer votes accumulate member-by-member, so the variance is exactly
+  // the scalar per-example committee vote.
   const std::vector<size_t>& unlabeled = pool.unlabeled_rows();
-  if (unlabeled.empty()) return {};
-
-  // Committee creation: bootstrap-resample the labeled data and train one
-  // clone per member (one pool task each). This is the dominant cost of
-  // learner-agnostic QBC (dashed lines in Fig. 10a-b).
-  obs::ObsSpan committee_span("selector.committee", "selector", name_);
-  const uint64_t round_seed = rng_.Next();
-  const std::vector<std::unique_ptr<Learner>> committee =
-      FitBootstrapCommittee(model, pool, committee_size_, round_seed);
-  const double committee_seconds = committee_span.Close();
-
-  // Example scoring: committee vote variance per unlabeled example. Each
-  // member sweeps the whole pool through its batch kernel (the PredictBatch
-  // fan-out runs under "ml.batch" inside this scoring span); integer votes
-  // then accumulate member-by-member, so the variance is exactly the scalar
-  // per-example committee vote. Tie keys are hashed from (tie_seed, row) so
-  // they do not depend on scoring order.
-  obs::ObsSpan scoring_span("selector.scoring", "selector", name_);
-  const uint64_t tie_seed = rng_.Next();
   std::vector<int> votes(unlabeled.size(), 0);
   std::vector<int> member_votes(unlabeled.size());
   for (const auto& member : committee) {
     member->PredictBatch(pool.features(), unlabeled, member_votes.data());
     for (size_t i = 0; i < unlabeled.size(); ++i) votes[i] += member_votes[i];
   }
-  std::vector<ScoredRow> scored(unlabeled.size());
+  std::vector<double> fractions(unlabeled.size());
   for (size_t i = 0; i < unlabeled.size(); ++i) {
-    const size_t row = unlabeled[i];
-    const double p = static_cast<double>(votes[i]) /
-                     static_cast<double>(committee_size_);
-    scored[i] =
-        ScoredRow{row, p * (1.0 - p), parallel::TaskSeed(tie_seed, row)};
+    fractions[i] =
+        static_cast<double>(votes[i]) / static_cast<double>(committee.size());
   }
-  std::vector<size_t> rows = TopKLargest(scored, k);
-  const double scoring_seconds = scoring_span.Close();
-  CountScored(unlabeled.size());
-  if (timing != nullptr) {
-    timing->committee_seconds = committee_seconds;
-    timing->scoring_seconds = scoring_seconds;
-    timing->scored_examples = unlabeled.size();
-  }
-  return rows;
-}
-
-bool QbcSelector::CompatibleWith(const Learner& model) const {
-  (void)model;
-  return true;  // Learner-agnostic by design.
+  return {TopVoteVariance(rng(), unlabeled, fractions, k), unlabeled.size()};
 }
 
 // ---- ForestQbcSelector ----
 
-std::vector<size_t> ForestQbcSelector::Select(const Learner& model,
-                                              const ActivePool& pool, size_t k,
-                                              SelectionTiming* timing) {
-  const auto* forest = dynamic_cast<const ForestLearner*>(&model);
-  ALEM_CHECK(forest != nullptr);
+ForestQbcSelector::ForestQbcSelector(uint64_t seed)
+    : ExampleSelector({.detail = "ForestQBC",
+                       .accepts = &IsA<ForestLearner>,
+                       .seed = seed}) {}
+
+ExampleSelector::Picks ForestQbcSelector::Pick(const Learner& model,
+                                               const ActivePool& pool,
+                                               const Committee& committee,
+                                               size_t k) {
+  (void)committee;
+  // The committee already exists (it was trained as part of the forest):
+  // one ProbaBatch sweep yields every example's positive tree fraction
+  // through the flattened-forest kernel (all trees in one contiguous node
+  // array), fanned out under "ml.batch".
   const std::vector<size_t>& unlabeled = pool.unlabeled_rows();
-  if (unlabeled.empty()) return {};
-
-  // The committee already exists (it was trained as part of the forest), so
-  // selection is scoring only: one ProbaBatch sweep yields every example's
-  // positive tree fraction through the flattened-forest kernel
-  // (all trees in one contiguous node array), fanned out under "ml.batch".
-  obs::ObsSpan scoring_span("selector.scoring", "selector", "ForestQBC");
-  const uint64_t tie_seed = rng_.Next();
   std::vector<double> fractions(unlabeled.size());
-  forest->ProbaBatch(pool.features(), unlabeled, fractions.data());
-  std::vector<ScoredRow> scored(unlabeled.size());
-  for (size_t i = 0; i < unlabeled.size(); ++i) {
-    const size_t row = unlabeled[i];
-    const double p = fractions[i];
-    scored[i] =
-        ScoredRow{row, p * (1.0 - p), parallel::TaskSeed(tie_seed, row)};
-  }
-  std::vector<size_t> rows = TopKLargest(scored, k);
-  const double scoring_seconds = scoring_span.Close();
-  CountScored(unlabeled.size());
-  if (timing != nullptr) {
-    timing->scoring_seconds = scoring_seconds;
-    timing->scored_examples = unlabeled.size();
-  }
-  return rows;
-}
-
-bool ForestQbcSelector::CompatibleWith(const Learner& model) const {
-  return dynamic_cast<const ForestLearner*>(&model) != nullptr;
+  model.ProbaBatch(pool.features(), unlabeled, fractions.data());
+  return {TopVoteVariance(rng(), unlabeled, fractions, k), unlabeled.size()};
 }
 
 // ---- MarginSelector ----
 
-std::vector<size_t> MarginSelector::Select(const Learner& model,
-                                           const ActivePool& pool, size_t k,
-                                           SelectionTiming* timing) {
-  const auto* margin_learner = dynamic_cast<const MarginLearner*>(&model);
-  ALEM_CHECK(margin_learner != nullptr);
+MarginSelector::MarginSelector(size_t blocking_dims)
+    : ExampleSelector({.detail = "Margin", .accepts = &IsA<MarginLearner>}),
+      blocking_dims_(blocking_dims) {}
+
+ExampleSelector::Picks MarginSelector::Pick(const Learner& model,
+                                            const ActivePool& pool,
+                                            const Committee& committee,
+                                            size_t k) {
+  (void)committee;
+  const auto& margin_learner = static_cast<const MarginLearner&>(model);
   const std::vector<size_t>& unlabeled = pool.unlabeled_rows();
-  if (unlabeled.empty()) return {};
 
   // Blocking dimensions: the learner's top-K most discriminative features
   // (top |weight| for linear models, back-propagated weight products for
@@ -266,7 +269,7 @@ std::vector<size_t> MarginSelector::Select(const Learner& model,
   // prediction — skip it.
   std::vector<size_t> blocking;
   if (blocking_dims_ > 0) {
-    blocking = margin_learner->BlockingDimensions(blocking_dims_);
+    blocking = margin_learner.BlockingDimensions(blocking_dims_);
   }
 
   // Two passes. First a cheap blocking scan — the scalar early-exit path —
@@ -275,7 +278,6 @@ std::vector<size_t> MarginSelector::Select(const Learner& model,
   // afterwards (the merged order equals the serial scan order at any thread
   // count). Survivors then get their margins in one MarginBatch sweep
   // through the learner's vector kernel (fanned out under "ml.batch").
-  obs::ObsSpan scoring_span("selector.scoring", "selector", "Margin");
   const size_t num_chunks =
       parallel::NumChunks(0, unlabeled.size(), kScoringGrain);
   std::vector<std::vector<size_t>> chunk_survivors(num_chunks);
@@ -314,60 +316,39 @@ std::vector<size_t> MarginSelector::Select(const Learner& model,
     pruned += chunk_pruned[chunk];
   }
   std::vector<double> margins(survivors.size());
-  margin_learner->MarginBatch(pool.features(), survivors, margins.data());
+  margin_learner.MarginBatch(pool.features(), survivors, margins.data());
   std::vector<ScoredRow> scored(survivors.size());
   for (size_t i = 0; i < survivors.size(); ++i) {
-    scored[i] = ScoredRow{survivors[i], std::abs(margins[i]), 0};
+    scored[i] = ScoredRow{survivors[i], -std::abs(margins[i]), 0};
   }
-  std::vector<size_t> rows = TopKSmallest(scored, k);
-  const double scoring_seconds = scoring_span.Close();
-  CountScored(scored.size());
-  CountPruned(pruned);
-  if (timing != nullptr) {
-    timing->scoring_seconds = scoring_seconds;
-    timing->scored_examples = scored.size();
-    timing->pruned_examples = pruned;
-  }
-  return rows;
-}
-
-bool MarginSelector::CompatibleWith(const Learner& model) const {
-  return dynamic_cast<const MarginLearner*>(&model) != nullptr;
+  return {TopK(scored, k), survivors.size(), pruned};
 }
 
 // ---- IwalSelector ----
 
 IwalSelector::IwalSelector(int committee_size, double min_probability,
                            uint64_t seed)
-    : committee_size_(committee_size),
-      min_probability_(min_probability),
-      rng_(seed) {
+    : ExampleSelector(
+          {.detail = "IWAL(" + std::to_string(committee_size) + ")",
+           .committee_size = committee_size,
+           .seed = seed}),
+      min_probability_(min_probability) {
   ALEM_CHECK_GE(committee_size, 2);
   ALEM_CHECK_GE(min_probability, 0.0);
   ALEM_CHECK_LE(min_probability, 1.0);
-  name_ = "IWAL(" + std::to_string(committee_size) + ")";
 }
 
-std::vector<size_t> IwalSelector::Select(const Learner& model,
-                                         const ActivePool& pool, size_t k,
-                                         SelectionTiming* timing) {
-  const std::vector<size_t>& unlabeled = pool.unlabeled_rows();
-  if (unlabeled.empty()) return {};
-
-  // Bootstrap committee, exactly as in QBC (one parallel task per member).
-  obs::ObsSpan committee_span("selector.committee", "selector", name_);
-  const uint64_t round_seed = rng_.Next();
-  const std::vector<std::unique_ptr<Learner>> committee =
-      FitBootstrapCommittee(model, pool, committee_size_, round_seed);
-  const double committee_seconds = committee_span.Close();
-
+ExampleSelector::Picks IwalSelector::Pick(const Learner& model,
+                                          const ActivePool& pool,
+                                          const Committee& committee,
+                                          size_t k) {
+  (void)model;
   // Rejection sampling stays serial: each keep/skip decision consumes the
   // shared Bernoulli stream in visit order, so it is order-dependent by
   // construction. Visit unlabeled examples in random order and keep
   // each with probability p_min + (1 - p_min) * 4 * variance.
-  obs::ObsSpan scoring_span("selector.scoring", "selector", name_);
-  std::vector<size_t> visit(unlabeled);
-  rng_.Shuffle(visit);
+  std::vector<size_t> visit(pool.unlabeled_rows());
+  rng().Shuffle(visit);
   std::vector<size_t> rows;
   rows.reserve(k);
   size_t scored = 0;
@@ -378,56 +359,44 @@ std::vector<size_t> IwalSelector::Select(const Learner& model,
     for (const auto& member : committee) positive_votes += member->Predict(x);
     ++scored;
     const double p = static_cast<double>(positive_votes) /
-                     static_cast<double>(committee_size_);
+                     static_cast<double>(committee.size());
     const double variance = p * (1.0 - p);
     const double keep =
         min_probability_ + (1.0 - min_probability_) * 4.0 * variance;
-    if (rng_.NextBernoulli(keep)) rows.push_back(row);
+    if (rng().NextBernoulli(keep)) rows.push_back(row);
   }
-  // If rejection sampling under-fills the batch, top up with the most
-  // recently skipped examples (rare once the pool has ambiguity).
+  // If rejection sampling under-fills the batch, top up with the
+  // earliest-visited rows not yet picked (rare once the pool has
+  // ambiguity).
   for (size_t i = 0; rows.size() < k && i < visit.size(); ++i) {
     bool already = false;
     for (const size_t row : rows) already |= row == visit[i];
     if (!already) rows.push_back(visit[i]);
   }
-  const double scoring_seconds = scoring_span.Close();
-  CountScored(scored);
-  if (timing != nullptr) {
-    timing->committee_seconds = committee_seconds;
-    timing->scoring_seconds = scoring_seconds;
-    timing->scored_examples = scored;
-  }
-  return rows;
-}
-
-bool IwalSelector::CompatibleWith(const Learner& model) const {
-  (void)model;
-  return true;  // Learner-agnostic, like QBC.
+  return {std::move(rows), scored};
 }
 
 // ---- DensityWeightedSelector ----
 
 DensityWeightedSelector::DensityWeightedSelector(double beta, uint64_t seed)
-    : beta_(beta), rng_(seed) {}
+    : ExampleSelector({.detail = "DensityMargin",
+                       .accepts = &IsA<MarginLearner>,
+                       .seed = seed}),
+      beta_(beta) {}
 
-std::vector<size_t> DensityWeightedSelector::Select(const Learner& model,
-                                                    const ActivePool& pool,
-                                                    size_t k,
-                                                    SelectionTiming* timing) {
-  const auto* margin_learner = dynamic_cast<const MarginLearner*>(&model);
-  ALEM_CHECK(margin_learner != nullptr);
+ExampleSelector::Picks DensityWeightedSelector::Pick(
+    const Learner& model, const ActivePool& pool, const Committee& committee,
+    size_t k) {
+  (void)committee;
+  const auto& margin_learner = static_cast<const MarginLearner&>(model);
   const std::vector<size_t>& unlabeled = pool.unlabeled_rows();
-  if (unlabeled.empty()) return {};
-
-  obs::ObsSpan scoring_span("selector.scoring", "selector", "DensityMargin");
   const size_t dims = pool.features().dims();
 
   // Density reference: a fixed random sample of the unlabeled pool.
   constexpr size_t kDensitySample = 64;
   const size_t sample_size = std::min(kDensitySample, unlabeled.size());
   const std::vector<size_t> picks =
-      rng_.SampleWithoutReplacement(unlabeled.size(), sample_size);
+      rng().SampleWithoutReplacement(unlabeled.size(), sample_size);
   std::vector<const float*> reference(sample_size);
   std::vector<double> reference_norms(sample_size);
   for (size_t i = 0; i < sample_size; ++i) {
@@ -443,7 +412,7 @@ std::vector<size_t> DensityWeightedSelector::Select(const Learner& model,
   // (bitwise-identical to per-row Margin); the density pass below then only
   // computes cosine similarities against the reference sample.
   std::vector<double> margins(unlabeled.size());
-  margin_learner->MarginBatch(pool.features(), unlabeled, margins.data());
+  margin_learner.MarginBatch(pool.features(), unlabeled, margins.data());
 
   std::vector<ScoredRow> scored(unlabeled.size());
   parallel::ParallelFor(
@@ -476,33 +445,22 @@ std::vector<size_t> DensityWeightedSelector::Select(const Learner& model,
         }
       },
       "selector.scoring");
-  std::vector<size_t> rows = TopKLargest(scored, k);
-  const double scoring_seconds = scoring_span.Close();
-  CountScored(unlabeled.size());
-  if (timing != nullptr) {
-    timing->scoring_seconds = scoring_seconds;
-    timing->scored_examples = unlabeled.size();
-  }
-  return rows;
-}
-
-bool DensityWeightedSelector::CompatibleWith(const Learner& model) const {
-  return dynamic_cast<const MarginLearner*>(&model) != nullptr;
+  return {TopK(scored, k), unlabeled.size()};
 }
 
 // ---- LfpLfnSelector ----
 
-std::vector<size_t> LfpLfnSelector::Select(const Learner& model,
-                                           const ActivePool& pool, size_t k,
-                                           SelectionTiming* timing) {
-  const auto* rules = dynamic_cast<const RuleLearner*>(&model);
-  ALEM_CHECK(rules != nullptr);
-  const std::vector<size_t>& unlabeled = pool.unlabeled_rows();
-  if (unlabeled.empty()) return {};
+LfpLfnSelector::LfpLfnSelector()
+    : ExampleSelector({.detail = "LFP/LFN", .accepts = &IsA<RuleLearner>}) {}
 
-  obs::ObsSpan scoring_span("selector.scoring", "selector", "LFP/LFN");
-  const Dnf& dnf = rules->dnf();
+ExampleSelector::Picks LfpLfnSelector::Pick(const Learner& model,
+                                            const ActivePool& pool,
+                                            const Committee& committee,
+                                            size_t k) {
+  (void)committee;
+  const Dnf& dnf = static_cast<const RuleLearner&>(model).dnf();
   const std::vector<Conjunction> relaxed = dnf.RuleMinusVariants();
+  const std::vector<size_t>& unlabeled = pool.unlabeled_rows();
   const size_t num_atoms = pool.features().dims();
 
   // Proxy similarity: fraction of satisfied atoms. Low values among
@@ -514,12 +472,12 @@ std::vector<size_t> LfpLfnSelector::Select(const Learner& model,
     return satisfied / static_cast<double>(num_atoms);
   };
 
-  std::vector<ScoredRow> lfp;  // Predicted positive, ascending proxy.
-  std::vector<ScoredRow> lfn;  // Rule-minus positive, descending proxy.
+  std::vector<ScoredRow> lfp;  // Predicted positive, by -proxy.
+  std::vector<ScoredRow> lfn;  // Rule-minus positive, by proxy.
   for (const size_t row : unlabeled) {
     const float* x = pool.features().Row(row);
     if (!dnf.conjunctions.empty() && dnf.Matches(x)) {
-      lfp.push_back(ScoredRow{row, proxy(x), 0});
+      lfp.push_back(ScoredRow{row, -proxy(x), 0});
       continue;
     }
     if (dnf.conjunctions.empty()) {
@@ -537,8 +495,8 @@ std::vector<size_t> LfpLfnSelector::Select(const Learner& model,
     }
   }
 
-  std::vector<size_t> lfp_rows = TopKSmallest(lfp, k);
-  std::vector<size_t> lfn_rows = TopKLargest(lfn, k);
+  const std::vector<size_t> lfp_rows = TopK(lfp, k);
+  const std::vector<size_t> lfn_rows = TopK(lfn, k);
 
   // Interleave LFPs and LFNs up to the batch size.
   std::vector<size_t> rows;
@@ -548,17 +506,7 @@ std::vector<size_t> LfpLfnSelector::Select(const Learner& model,
     if (i < lfp_rows.size()) rows.push_back(lfp_rows[i++]);
     if (rows.size() < k && j < lfn_rows.size()) rows.push_back(lfn_rows[j++]);
   }
-  const double scoring_seconds = scoring_span.Close();
-  CountScored(unlabeled.size());
-  if (timing != nullptr) {
-    timing->scoring_seconds = scoring_seconds;
-    timing->scored_examples = unlabeled.size();
-  }
-  return rows;
-}
-
-bool LfpLfnSelector::CompatibleWith(const Learner& model) const {
-  return dynamic_cast<const RuleLearner*>(&model) != nullptr;
+  return {std::move(rows), unlabeled.size()};
 }
 
 }  // namespace alem

@@ -1,21 +1,26 @@
 // Example selectors (Section 4 of the paper).
 //
-//   ExampleSelector
-//   |-- RandomSelector      (supervised-learning baseline: random batches)
-//   |-- QbcSelector         (learner-agnostic query-by-committee, Sec 4.1)
-//   |-- ForestQbcSelector   (learner-aware QBC on a trained forest, 4.1.1)
-//   |-- MarginSelector      (margin-based, Sec 4.2; optional selection-time
-//   |                        blocking over top-K |weight| dims, Sec 5.1)
-//   `-- LfpLfnSelector      (likely false positives/negatives for rules, 4.3)
+// ExampleSelector::Select is one skeleton shared by every strategy. It
+// checks learner compatibility (Fig. 2), returns nothing for an empty
+// pool, fits the optional bootstrap committee ("selector.committee"),
+// runs the strategy's pick policy inside "selector.scoring", counts the
+// scored and pruned examples, and reports the committee-creation vs
+// example-scoring latency split plotted in Fig. 10. A strategy supplies
+// only its pick policy, Pick():
 //
-// Each Select() reports its latency split into committee-creation time and
-// example-scoring time, which is exactly the breakdown plotted in Fig. 10.
+//   score, then top-k                     own ranking
+//   QbcSelector       (Sec 4.1)           RandomSelector (supervised arm)
+//   ForestQbcSelector (Sec 4.1.1)         IwalSelector   (Sec 2 baseline)
+//   MarginSelector    (Sec 4.2, 5.1)      LfpLfnSelector (rules, Sec 4.3)
+//   DensityWeightedSelector (extension)
 
 #ifndef ALEM_CORE_SELECTOR_H_
 #define ALEM_CORE_SELECTOR_H_
 
 #include <cstdint>
-#include <string_view>
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/learner.h"
@@ -49,49 +54,80 @@ struct SelectionTiming {
 class ExampleSelector {
  public:
   virtual ~ExampleSelector() = default;
+  ExampleSelector(const ExampleSelector&) = delete;
+  ExampleSelector& operator=(const ExampleSelector&) = delete;
 
   // Picks up to `k` unlabeled rows for the Oracle. `model` is the learner
-  // trained in the current iteration. An empty result signals that the
-  // selector found nothing worth labeling (the rule learner's termination
-  // criterion). `timing` may be null.
-  virtual std::vector<size_t> Select(const Learner& model,
-                                     const ActivePool& pool, size_t k,
-                                     SelectionTiming* timing) = 0;
+  // trained in the current iteration and must be CompatibleWith this
+  // selector. An empty result signals that the selector found nothing worth
+  // labeling (the rule learner's termination criterion). `timing` may be
+  // null.
+  std::vector<size_t> Select(const Learner& model, const ActivePool& pool,
+                             size_t k, SelectionTiming* timing);
 
   // Whether this selector can drive the given learner (Fig. 2 class
   // compatibility).
-  virtual bool CompatibleWith(const Learner& model) const = 0;
+  bool CompatibleWith(const Learner& model) const {
+    return accepts_ == nullptr || accepts_(model);
+  }
 
   // Serializes the selector's mutable state — for the stochastic selectors
   // that is exactly the RNG stream position — so a restored labeling
   // session proposes the same example sequence the uninterrupted run would
-  // have (docs/sessions.md). Stateless selectors return an empty blob;
+  // have (docs/sessions.md). Selectors without an RNG save an empty blob;
   // RestoreState returns false on malformed input.
-  virtual std::string SaveState() const { return {}; }
-  virtual bool RestoreState(const std::string& state) {
-    return state.empty();
+  std::string SaveState() const { return rng_ ? rng_->SaveState() : ""; }
+  bool RestoreState(const std::string& state) {
+    return rng_ ? rng_->RestoreState(state) : state.empty();
   }
 
-  virtual std::string_view name() const = 0;
+ protected:
+  using Committee = std::vector<std::unique_ptr<Learner>>;
+
+  // What a strategy fixes at construction.
+  struct Traits {
+    std::string detail;  // Span detail, e.g. "QBC(4)".
+    // Required learner type (Fig. 2); null accepts every learner.
+    bool (*accepts)(const Learner&) = nullptr;
+    int committee_size = 0;  // Bootstrap committee per round; 0 = none.
+    std::optional<uint64_t> seed{};  // Seeds the selector's RNG, if any.
+  };
+
+  // A pick policy's result. `scored` stays unset for a policy that scores
+  // nothing (no selector.scored_examples count); `pruned` is set only by
+  // policies that block (blocking.pruned).
+  struct Picks {
+    std::vector<size_t> rows;
+    std::optional<size_t> scored{};
+    std::optional<size_t> pruned{};
+  };
+
+  explicit ExampleSelector(Traits traits);
+
+  // The strategy: picks up to `k` of the (non-empty) pool.unlabeled_rows().
+  // Runs inside the selector.scoring span; `committee` is the round's
+  // bootstrap committee (empty when Traits::committee_size is 0).
+  virtual Picks Pick(const Learner& model, const ActivePool& pool,
+                     const Committee& committee, size_t k) = 0;
+
+  Rng& rng() { return *rng_; }
+
+ private:
+  std::string detail_;
+  bool (*accepts_)(const Learner&);
+  int committee_size_;
+  std::optional<Rng> rng_;
 };
 
 // Uniform random selection — the "supervised learning" arm of Figs. 16/17,
 // where each iteration labels a random batch instead of an informative one.
 class RandomSelector final : public ExampleSelector {
  public:
-  explicit RandomSelector(uint64_t seed) : rng_(seed) {}
-
-  std::vector<size_t> Select(const Learner& model, const ActivePool& pool,
-                             size_t k, SelectionTiming* timing) override;
-  bool CompatibleWith(const Learner& model) const override;
-  std::string SaveState() const override { return rng_.SaveState(); }
-  bool RestoreState(const std::string& state) override {
-    return rng_.RestoreState(state);
-  }
-  std::string_view name() const override { return "Random"; }
+  explicit RandomSelector(uint64_t seed);
 
  private:
-  Rng rng_;
+  Picks Pick(const Learner& model, const ActivePool& pool,
+             const Committee& committee, size_t k) override;
 };
 
 // Learner-agnostic QBC: draws `committee_size` bootstrap samples from the
@@ -101,40 +137,20 @@ class QbcSelector final : public ExampleSelector {
  public:
   QbcSelector(int committee_size, uint64_t seed);
 
-  std::vector<size_t> Select(const Learner& model, const ActivePool& pool,
-                             size_t k, SelectionTiming* timing) override;
-  bool CompatibleWith(const Learner& model) const override;
-  std::string SaveState() const override { return rng_.SaveState(); }
-  bool RestoreState(const std::string& state) override {
-    return rng_.RestoreState(state);
-  }
-  std::string_view name() const override { return name_; }
-
-  int committee_size() const { return committee_size_; }
-
  private:
-  int committee_size_;
-  Rng rng_;
-  std::string name_;
+  Picks Pick(const Learner& model, const ActivePool& pool,
+             const Committee& committee, size_t k) override;
 };
 
 // Learner-aware QBC for tree ensembles: the trees of the trained forest are
 // the committee, so committee-creation time is zero by construction.
 class ForestQbcSelector final : public ExampleSelector {
  public:
-  explicit ForestQbcSelector(uint64_t seed) : rng_(seed) {}
-
-  std::vector<size_t> Select(const Learner& model, const ActivePool& pool,
-                             size_t k, SelectionTiming* timing) override;
-  bool CompatibleWith(const Learner& model) const override;
-  std::string SaveState() const override { return rng_.SaveState(); }
-  bool RestoreState(const std::string& state) override {
-    return rng_.RestoreState(state);
-  }
-  std::string_view name() const override { return "ForestQBC"; }
+  explicit ForestQbcSelector(uint64_t seed);
 
  private:
-  Rng rng_;
+  Picks Pick(const Learner& model, const ActivePool& pool,
+             const Committee& committee, size_t k) override;
 };
 
 // Margin-based selection: picks the unlabeled examples with the smallest
@@ -144,17 +160,14 @@ class ForestQbcSelector final : public ExampleSelector {
 // the optimization (equivalent to using all dimensions for blocking).
 class MarginSelector final : public ExampleSelector {
  public:
-  explicit MarginSelector(size_t blocking_dims = 0)
-      : blocking_dims_(blocking_dims) {}
-
-  std::vector<size_t> Select(const Learner& model, const ActivePool& pool,
-                             size_t k, SelectionTiming* timing) override;
-  bool CompatibleWith(const Learner& model) const override;
-  std::string_view name() const override { return "Margin"; }
+  explicit MarginSelector(size_t blocking_dims = 0);
 
   size_t blocking_dims() const { return blocking_dims_; }
 
  private:
+  Picks Pick(const Learner& model, const ActivePool& pool,
+             const Committee& committee, size_t k) override;
+
   size_t blocking_dims_;
 };
 
@@ -171,20 +184,11 @@ class IwalSelector final : public ExampleSelector {
  public:
   IwalSelector(int committee_size, double min_probability, uint64_t seed);
 
-  std::vector<size_t> Select(const Learner& model, const ActivePool& pool,
-                             size_t k, SelectionTiming* timing) override;
-  bool CompatibleWith(const Learner& model) const override;
-  std::string SaveState() const override { return rng_.SaveState(); }
-  bool RestoreState(const std::string& state) override {
-    return rng_.RestoreState(state);
-  }
-  std::string_view name() const override { return name_; }
-
  private:
-  int committee_size_;
+  Picks Pick(const Learner& model, const ActivePool& pool,
+             const Committee& committee, size_t k) override;
+
   double min_probability_;
-  Rng rng_;
-  std::string name_;
 };
 
 // Density-weighted uncertainty sampling (Settles' information-density
@@ -197,18 +201,11 @@ class DensityWeightedSelector final : public ExampleSelector {
  public:
   DensityWeightedSelector(double beta, uint64_t seed);
 
-  std::vector<size_t> Select(const Learner& model, const ActivePool& pool,
-                             size_t k, SelectionTiming* timing) override;
-  bool CompatibleWith(const Learner& model) const override;
-  std::string SaveState() const override { return rng_.SaveState(); }
-  bool RestoreState(const std::string& state) override {
-    return rng_.RestoreState(state);
-  }
-  std::string_view name() const override { return "DensityMargin"; }
-
  private:
+  Picks Pick(const Learner& model, const ActivePool& pool,
+             const Committee& committee, size_t k) override;
+
   double beta_;
-  Rng rng_;
 };
 
 // LFP/LFN heuristic for rule learners: likely false positives are unlabeled
@@ -219,12 +216,11 @@ class DensityWeightedSelector final : public ExampleSelector {
 // criterion for rule learning.
 class LfpLfnSelector final : public ExampleSelector {
  public:
-  LfpLfnSelector() = default;
+  LfpLfnSelector();
 
-  std::vector<size_t> Select(const Learner& model, const ActivePool& pool,
-                             size_t k, SelectionTiming* timing) override;
-  bool CompatibleWith(const Learner& model) const override;
-  std::string_view name() const override { return "LFP/LFN"; }
+ private:
+  Picks Pick(const Learner& model, const ActivePool& pool,
+             const Committee& committee, size_t k) override;
 };
 
 }  // namespace alem

@@ -143,7 +143,8 @@ bool DeserializeTree(const std::string& text, DecisionTree* model) {
   }
   if (num_nodes == 0 || num_nodes > (1u << 26)) return false;
   result.nodes_.resize(num_nodes);
-  for (auto& node : result.nodes_) {
+  for (size_t index = 0; index < num_nodes; ++index) {
+    auto& node = result.nodes_[index];
     int is_leaf = 0;
     if (!reader.Read(&is_leaf) || !reader.Read(&node.label) ||
         !reader.Read(&node.dim) || !reader.Read(&node.threshold) ||
@@ -151,9 +152,13 @@ bool DeserializeTree(const std::string& text, DecisionTree* model) {
       return false;
     }
     node.is_leaf = is_leaf != 0;
-    // Child indices must stay in bounds (or be -1 for leaves).
-    if (node.left >= static_cast<int>(num_nodes) ||
-        node.right >= static_cast<int>(num_nodes)) {
+    // Trees are written post-order (children before their parent), so a
+    // split's children must satisfy 0 <= child < index: every index Predict
+    // follows stays in bounds and no cycle can form. Leaf children are
+    // never read.
+    const int before = static_cast<int>(index);
+    if (!node.is_leaf && (node.left < 0 || node.right < 0 ||
+                          node.left >= before || node.right >= before)) {
       return false;
     }
   }

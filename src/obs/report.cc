@@ -763,12 +763,17 @@ std::vector<std::string> CheckReports(const RunReport& baseline,
           " vs baseline " + FormatDouble(baseline.best_f1) + " (tolerance " +
           FormatDouble(options.f1_tol) + ")");
     }
-    // A run that scored no examples or queried no labels measured nothing.
-    for (const char* name : {"oracle.queries", "selector.scored_examples"}) {
+    // A run that queried no labels measured nothing. Scoring is required
+    // only where the baseline scored: a random selector never scores.
+    auto require_nonzero = [&](const std::string& name) {
       if (candidate.CounterOr(name) == 0) {
-        failures.push_back(std::string("counter ") + name +
+        failures.push_back("counter " + name +
                            " is zero or missing in candidate");
       }
+    };
+    require_nonzero("oracle.queries");
+    if (baseline.CounterOr("selector.scored_examples") != 0) {
+      require_nonzero("selector.scored_examples");
     }
   }
 

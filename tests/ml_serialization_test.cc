@@ -134,18 +134,25 @@ TEST(SerializationTest, RejectsTruncatedBlob) {
 }
 
 TEST(SerializationTest, RejectsCorruptNodeIndices) {
-  FeatureMatrix features;
-  std::vector<int> labels;
-  MakeXor(100, 6, &features, &labels);
-  DecisionTree original;
-  original.Fit(features, labels);
-  std::string blob = SerializeTree(original);
-  // Corrupt the node count to something absurd.
-  const size_t pos = blob.find('\n', blob.find("alem-tree"));
-  (void)pos;
+  // A three-node tree: header (version, max_depth, min_samples_split,
+  // max_features, seed, root, depth, node count), then one
+  // "is_leaf label dim threshold left right" line per node, post-order.
+  auto blob = [](const std::string& root_line) {
+    return "alem-tree\n1\n0 2 0 1\n2\n1\n3\n1 0 0 0 -1 -1\n1 1 0 0 -1 -1\n" +
+           root_line + "\n";
+  };
   DecisionTree restored;
+  ASSERT_TRUE(DeserializeTree(blob("0 0 0 0.5 0 1"), &restored));
+  const float x[] = {0.9f};
+  EXPECT_EQ(restored.Predict(x), 1);
+
+  // Absurd node count.
   EXPECT_FALSE(DeserializeTree("alem-tree\n1\n0 2 0 1\n0\n0\n999999999\n",
                                &restored));
+  // Negative child on a split node (Predict would read out of bounds).
+  EXPECT_FALSE(DeserializeTree(blob("0 0 0 0.5 -5 1"), &restored));
+  // Split whose children point at itself (Predict would never return).
+  EXPECT_FALSE(DeserializeTree(blob("0 0 0 0.5 2 2"), &restored));
 }
 
 TEST(SerializationTest, FileRoundTrip) {

@@ -368,6 +368,21 @@ TEST(CheckReportsTest, ZeroRequiredCounterFails) {
   EXPECT_NE(failures[0].find("oracle.queries"), std::string::npos);
 }
 
+TEST(CheckReportsTest, ScoredExamplesRequiredOnlyWhereBaselineScored) {
+  // A random-selector run scores nothing: it must pass against itself...
+  RunReport unscored = MakeReport();
+  for (auto& [name, value] : unscored.counters) {
+    if (name == "selector.scored_examples") value = 0;
+  }
+  EXPECT_TRUE(CheckReports(unscored, unscored, ReportCheckOptions()).empty());
+  // ...but not stand in for a baseline that did score.
+  const std::vector<std::string> failures =
+      CheckReports(MakeReport(), unscored, ReportCheckOptions());
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("selector.scored_examples"), std::string::npos)
+      << failures[0];
+}
+
 TEST(CheckReportsTest, KindMismatchFails) {
   const RunReport baseline = MakeReport();
   RunReport candidate = baseline;

@@ -12,10 +12,11 @@
 #   2. Cache warmth: rerunning the same workload against the now-warm
 #      cache must produce a bitwise-identical curve, report
 #      config.cache="hit", and count exactly one featurize.cache.hit.
-#   3. Quality + counters: fresh runs of all three golden workloads
-#      (linear-margin, trees5, linear-qbc4) must match their committed
-#      baselines within the F1 tolerance with every counter exact
-#      (--counter-tol=0, including featurize.cache.*).
+#   3. Exact replay: fresh runs of all five 60-label golden workloads
+#      (linear-margin, trees5, linear-qbc4, rules, supervised-trees5) must
+#      replay their committed baselines with the curve bitwise and every
+#      counter exact (--exact-curve --counter-tol=0, including
+#      featurize.cache.*).
 #   4. Sensitivity: a baseline whose F1 is perturbed beyond tolerance
 #      must make the check FAIL (guards against a gate that passes
 #      everything).
@@ -29,10 +30,11 @@
 #      present in both (deterministic structure), p95s within a generous
 #      tolerance — and a perturbed-latency baseline must make
 #      `check --latency-p95-tol=0` FAIL.
-#   7. Kernel backends: scalar-forced reruns of all three golden
-#      workloads must replay their committed baselines with every
-#      counter exact, and each additional backend reported by
-#      `alem_cli kernels` must reproduce the scalar linear-margin curve
+#   7. Kernel backends: scalar-forced reruns of all five 60-label golden
+#      workloads must replay their committed baselines with the curve
+#      bitwise and every counter exact (stage 3 already replayed them on
+#      the best available backend), and each additional backend reported
+#      by `alem_cli kernels` must reproduce the scalar linear-margin curve
 #      bitwise (--exact-curve --counter-tol=0) while stamping its name
 #      into config.kernel_backend — the end-to-end counterpart of the
 #      kernels-labeled ctest matrix (docs/kernels.md).
@@ -81,12 +83,17 @@ for f in "$cli" "$report_tool" \
     "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$baseline_dir/cli_abtbuy_trees5.report.json" \
     "$baseline_dir/cli_abtbuy_linear_qbc4.report.json" \
+    "$baseline_dir/cli_abtbuy_rules.report.json" \
+    "$baseline_dir/cli_abtbuy_supervised_trees5.report.json" \
     "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json"; do
   if [ ! -e "$f" ]; then
     echo "error: missing $f" >&2
     exit 1
   fi
 done
+
+# The five 60-label golden workloads, one baseline each.
+golden="linear-margin trees5 linear-qbc4 rules supervised-trees5"
 
 # The golden workload: Abt-Buy at scale 0.25, 60 labels. $1 = approach,
 # $2 = threads, $3 = output report, $4... = extra flags (cache policy).
@@ -124,8 +131,8 @@ assert warm["counters"].get("featurize.cache.hit") == 1, warm["counters"]
 assert warm["counters"].get("featurize.cache.miss", 0) == 0, warm["counters"]
 EOF
 
-echo "[3/12] quality: three golden workloads within tolerance, counters exact"
-for approach in linear-margin trees5 linear-qbc4; do
+echo "[3/12] exact replay: five golden workloads, curve and counters exact"
+for approach in $golden; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   candidate="$work/cand_$name.report.json"
   if [ "$approach" = "linear-margin" ]; then
@@ -136,7 +143,7 @@ for approach in linear-margin trees5 linear-qbc4; do
   fi
   "$report_tool" check \
       "$baseline_dir/cli_abtbuy_$name.report.json" "$candidate" \
-      --counter-tol=0
+      --exact-curve --counter-tol=0
 done
 
 echo "[4/12] sensitivity: perturbed baseline must fail the check"
@@ -223,16 +230,17 @@ fi
 echo "perturbed latency baseline rejected as expected"
 
 echo "[7/12] kernel backends: scalar golden replay, per-backend equivalence"
-# Scalar-forced cold runs must replay all three committed baselines with
-# every counter exact — pins the scalar reference path end to end.
-for approach in linear-margin trees5 linear-qbc4; do
+# Scalar-forced cold runs must replay all five committed 60-label
+# baselines bitwise, every counter exact — pins the scalar reference path
+# end to end.
+for approach in $golden; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   mkdir -p "$work/cache_scalar_$name"
   run_cli "$approach" 1 "$work/scalar_$name.report.json" \
       --cache-dir="$work/cache_scalar_$name" --kernel-backend=scalar
   "$report_tool" check \
       "$baseline_dir/cli_abtbuy_$name.report.json" \
-      "$work/scalar_$name.report.json" --counter-tol=0
+      "$work/scalar_$name.report.json" --exact-curve --counter-tol=0
 done
 # Every additional backend this host offers must reproduce the scalar
 # linear-margin curve bitwise and stamp itself into config.kernel_backend.

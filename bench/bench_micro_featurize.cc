@@ -22,6 +22,10 @@
 namespace alem {
 namespace {
 
+// Every row runs 5 repetitions and reports only the aggregates (mean,
+// median, stddev, cv): read the median, and the cv as its noise band.
+constexpr int kRepetitions = 5;
+
 // Shared prepared dataset (cache off: this binary measures featurization
 // itself, so PrepareDataset must always recompute).
 const PreparedDataset& Data() {
@@ -56,7 +60,10 @@ void BM_ExtractPerPair(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(pairs.size()));
 }
-BENCHMARK(BM_ExtractPerPair)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExtractPerPair)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 // Batched per-dimension sweeps; arg = worker threads (1 = serial path).
 void BM_ExtractBatch(benchmark::State& state) {
@@ -72,7 +79,14 @@ void BM_ExtractBatch(benchmark::State& state) {
                           static_cast<int64_t>(pairs.size()));
   parallel::SetNumThreads(1);
 }
-BENCHMARK(BM_ExtractBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExtractBatch)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true)
+    // ExtractBatch fans out over the pool: time and rates are wall.
+    ->UseRealTime();
 
 // Warm cache load: the whole matrix from disk, validated and checksummed.
 void BM_CacheLoad(benchmark::State& state) {
@@ -96,7 +110,10 @@ void BM_CacheLoad(benchmark::State& state) {
                           static_cast<int64_t>(loaded.rows()));
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_CacheLoad)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CacheLoad)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_MatrixSerialize(benchmark::State& state) {
   const FeatureMatrix& matrix = Data().float_features;
@@ -105,7 +122,10 @@ void BM_MatrixSerialize(benchmark::State& state) {
     benchmark::DoNotOptimize(blob.size());
   }
 }
-BENCHMARK(BM_MatrixSerialize)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MatrixSerialize)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_MatrixDeserialize(benchmark::State& state) {
   const std::string blob = Data().float_features.Serialize();
@@ -115,7 +135,10 @@ void BM_MatrixDeserialize(benchmark::State& state) {
     benchmark::DoNotOptimize(ok);
   }
 }
-BENCHMARK(BM_MatrixDeserialize)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MatrixDeserialize)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 }  // namespace
 }  // namespace alem

@@ -7,7 +7,7 @@ double QGramSimilarity::ComputeNonNull(const AttributeProfile& a,
   const int total = a.bigram_counts.total() + b.bigram_counts.total();
   if (total == 0) return 1.0;
   const int distance =
-      CountedMultiset::L1Distance(a.bigram_counts, b.bigram_counts);
+      BigramMultiset::L1Distance(a.bigram_counts, b.bigram_counts);
   return 1.0 - static_cast<double>(distance) / static_cast<double>(total);
 }
 
@@ -17,7 +17,7 @@ double CosineQGramSimilarity::ComputeNonNull(const AttributeProfile& a,
   if (denom == 0.0) {
     return a.bigram_counts.total() == b.bigram_counts.total() ? 1.0 : 0.0;
   }
-  return CountedMultiset::Dot(a.bigram_counts, b.bigram_counts) / denom;
+  return BigramMultiset::Dot(a.bigram_counts, b.bigram_counts) / denom;
 }
 
 double SimonWhiteSimilarity::ComputeNonNull(const AttributeProfile& a,
@@ -25,19 +25,8 @@ double SimonWhiteSimilarity::ComputeNonNull(const AttributeProfile& a,
   const int total = a.bigram_counts.total() + b.bigram_counts.total();
   if (total == 0) return 1.0;
   const int intersection =
-      CountedMultiset::MultisetIntersection(a.bigram_counts, b.bigram_counts);
+      BigramMultiset::MultisetIntersection(a.bigram_counts, b.bigram_counts);
   return 2.0 * intersection / static_cast<double>(total);
-}
-
-double JaccardQGramSimilarity::ComputeNonNull(const AttributeProfile& a,
-                                              const AttributeProfile& b) const {
-  const int intersection =
-      CountedMultiset::SetIntersection(a.bigram_counts, b.bigram_counts);
-  const int unions = static_cast<int>(a.bigram_counts.distinct()) +
-                     static_cast<int>(b.bigram_counts.distinct()) -
-                     intersection;
-  if (unions == 0) return 1.0;
-  return static_cast<double>(intersection) / unions;
 }
 
 }  // namespace alem

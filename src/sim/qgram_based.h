@@ -41,16 +41,6 @@ class SimonWhiteSimilarity final : public SimilarityFunction {
                         const AttributeProfile& b) const override;
 };
 
-// Jaccard over distinct bigrams.
-class JaccardQGramSimilarity final : public SimilarityFunction {
- public:
-  std::string_view name() const override { return "JaccardQGrams"; }
-
- protected:
-  double ComputeNonNull(const AttributeProfile& a,
-                        const AttributeProfile& b) const override;
-};
-
 }  // namespace alem
 
 #endif  // ALEM_SIM_QGRAM_BASED_H_

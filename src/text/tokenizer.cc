@@ -2,8 +2,6 @@
 
 #include <cctype>
 
-#include "util/check.h"
-
 namespace alem {
 
 std::vector<std::string> TokenizeWords(std::string_view text) {
@@ -20,28 +18,6 @@ std::vector<std::string> TokenizeWords(std::string_view text) {
   }
   if (!current.empty()) tokens.push_back(std::move(current));
   return tokens;
-}
-
-std::vector<std::string> QGrams(std::string_view text, int q) {
-  ALEM_CHECK_GE(q, 1);
-  std::vector<std::string> grams;
-  if (text.empty()) return grams;
-
-  std::string padded;
-  padded.reserve(text.size() + static_cast<size_t>(2 * (q - 1)));
-  padded.append(static_cast<size_t>(q - 1), '#');
-  for (const char raw : text) {
-    padded.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(raw))));
-  }
-  padded.append(static_cast<size_t>(q - 1), '#');
-
-  if (padded.size() < static_cast<size_t>(q)) return grams;
-  grams.reserve(padded.size() - static_cast<size_t>(q) + 1);
-  for (size_t i = 0; i + static_cast<size_t>(q) <= padded.size(); ++i) {
-    grams.emplace_back(padded.substr(i, static_cast<size_t>(q)));
-  }
-  return grams;
 }
 
 }  // namespace alem

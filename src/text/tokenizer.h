@@ -1,7 +1,7 @@
 // Tokenization primitives used by the feature extractor and by offline
 // blocking. Mirrors the preprocessing of the paper's Java Simmetrics setup:
-// lower-case, split on non-alphanumeric characters, and (for the q-gram
-// family) pad with sentinel characters.
+// lower-case and split on non-alphanumeric characters. (The q-gram family's
+// padded bigrams are built in text/profile.h.)
 
 #ifndef ALEM_TEXT_TOKENIZER_H_
 #define ALEM_TEXT_TOKENIZER_H_
@@ -15,11 +15,6 @@ namespace alem {
 // Lower-cases and splits `text` on runs of non-alphanumeric ASCII characters.
 // Empty tokens are dropped.
 std::vector<std::string> TokenizeWords(std::string_view text);
-
-// Extracts padded character q-grams from the lower-cased input. The string is
-// padded with (q-1) '#' characters on both sides, so "ab" with q=2 yields
-// {"#a", "ab", "b#"}. An empty input yields no q-grams.
-std::vector<std::string> QGrams(std::string_view text, int q);
 
 }  // namespace alem
 

@@ -44,7 +44,13 @@ TEST_P(CsvFuzzTest, RandomTableRoundTrips) {
   // all-empty fields with arity 1 is indistinguishable from no row. Avoid
   // generating that single ambiguous case.
   if (rows.back().size() == 1 && rows.back()[0].empty()) {
+    // GCC 12 false positive: after inlining std::string::assign it reports
+    // an overlapping __builtin_memcpy of ~2^63 bytes (GCC bug 105329),
+    // which a one-byte assignment to a distinct string cannot do.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
     rows.back()[0] = "x";
+#pragma GCC diagnostic pop
   }
 
   const std::string encoded = WriteCsv(rows);

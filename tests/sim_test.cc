@@ -265,14 +265,6 @@ TEST(QGramBasedTest, CosineQGramMatchesManualValue) {
   EXPECT_NEAR(sim, 1.0, 1e-9);
 }
 
-TEST(QGramBasedTest, JaccardQGramAvailableOutsideRegistry) {
-  // JaccardQGrams is provided as an extra (22nd) function but deliberately
-  // not registered, keeping the registry at the paper's 21.
-  JaccardQGramSimilarity f;
-  EXPECT_NEAR(Sim(f, "abc", "abc"), 1.0, 1e-9);
-  EXPECT_EQ(SimilarityIndexByName("JaccardQGrams"), -1);
-}
-
 TEST(EditBasedTest, LongInputsAreCappedNotCrashing) {
   const std::string long_a(5000, 'a');
   const std::string long_b(5000, 'b');

@@ -26,20 +26,37 @@ TEST(TokenizerTest, DigitsAreTokens) {
             (std::vector<std::string>{"price", "299", "99"}));
 }
 
-TEST(QGramsTest, PaddedBigrams) {
-  EXPECT_EQ(QGrams("ab", 2),
-            (std::vector<std::string>{"#a", "ab", "b#"}));
+// ---- PaddedBigrams ----
+
+TEST(PaddedBigramsTest, PaddedBigrams) {
+  const BigramMultiset grams = PaddedBigrams("ab");
+  EXPECT_EQ(grams.total(), 3);
+  EXPECT_EQ(grams.distinct(), 3u);
+  EXPECT_EQ(grams.CountOf(BigramKey('#', 'a')), 1);
+  EXPECT_EQ(grams.CountOf(BigramKey('a', 'b')), 1);
+  EXPECT_EQ(grams.CountOf(BigramKey('b', '#')), 1);
+  EXPECT_EQ(grams.CountOf(BigramKey('#', '#')), 0);
 }
 
-TEST(QGramsTest, LowercasesInput) {
-  EXPECT_EQ(QGrams("AB", 2), QGrams("ab", 2));
+TEST(PaddedBigramsTest, LowercasesInput) {
+  const BigramMultiset upper = PaddedBigrams("AB");
+  const BigramMultiset lower = PaddedBigrams("ab");
+  EXPECT_EQ(upper.total(), lower.total());
+  EXPECT_EQ(BigramMultiset::SetIntersection(upper, lower), 3);
+  EXPECT_EQ(BigramMultiset::L1Distance(upper, lower), 0);
 }
 
-TEST(QGramsTest, EmptyInput) { EXPECT_TRUE(QGrams("", 2).empty()); }
+TEST(PaddedBigramsTest, EmptyInput) {
+  EXPECT_EQ(PaddedBigrams("").total(), 0);
+  EXPECT_EQ(PaddedBigrams("").distinct(), 0u);
+}
 
-TEST(QGramsTest, SingleCharTrigram) {
-  // "a" padded with two '#' on each side -> "##a##": 3 trigrams.
-  EXPECT_EQ(QGrams("a", 3).size(), 3u);
+TEST(PaddedBigramsTest, SingleChar) {
+  // "a" padded with one '#' on each side -> "#a#": 2 bigrams.
+  const BigramMultiset grams = PaddedBigrams("a");
+  EXPECT_EQ(grams.total(), 2);
+  EXPECT_EQ(grams.CountOf(BigramKey('#', 'a')), 1);
+  EXPECT_EQ(grams.CountOf(BigramKey('a', '#')), 1);
 }
 
 // ---- CountedMultiset ----

@@ -24,7 +24,9 @@ Modes:
   trace_summary.py --check --report RUN.report.json
       Validate a RunReport flight-recorder artifact (schema described in
       docs/observability.md): required fields, a coherent learning curve
-      for "run" reports, nonzero required counters, span rollup
+      for "run" reports, nonzero required counters (oracle.queries, and
+      selector.scored_examples unless config.approach picks random
+      batches), span rollup
       consistency, ordered percentiles in the optional latency section,
       and — when the optional pool section is present — the worker
       accounting invariant busy + idle + queue_wait ≈ worker_wall.
@@ -51,6 +53,10 @@ REQUIRED_PHASE_SPANS = ("loop.train", "loop.evaluate", "loop.select",
                         "loop.label")
 # Metrics that a real run can never legitimately leave at zero.
 REQUIRED_NONZERO_COUNTERS = ("selector.scored_examples", "oracle.queries")
+# Counters a run report requires nonzero whatever its approach; scoring is
+# required only of approaches whose selector scores examples.
+REPORT_NONZERO_COUNTERS = ("oracle.queries",)
+SCORING_COUNTER = "selector.scored_examples"
 # Every ml.batch fan-out is issued by a pipeline phase that gathered the
 # rows first, so its aggregate span must sit inside one of these spans on
 # the submitting thread (selectors score, the evaluator sweeps the eval
@@ -413,10 +419,23 @@ def check_report(report_path):
             if abs(summary["final_f1"] - curve[-1].get("f1", -1.0)) > 1e-12:
                 failures.append("summary.final_f1 does not match the last "
                                 "curve point")
-        for name in REQUIRED_NONZERO_COUNTERS:
+        required = list(REPORT_NONZERO_COUNTERS)
+        if approach_scores_examples(report["config"].get("approach", "")):
+            required.append(SCORING_COUNTER)
+        for name in required:
             if report["counters"].get(name, 0) <= 0:
                 failures.append(f"report counter {name} is zero or missing")
     return failures
+
+
+def approach_scores_examples(approach):
+    """Whether a report's config.approach names a scoring selector.
+
+    Random-batch approaches ("SupervisedTrees(Random-5)", "<learner>-Random"
+    and DeepMatcher, which labels random batches) pick examples without
+    scoring any, so their selector.scored_examples is legitimately zero.
+    """
+    return "Random" not in approach and approach != "DeepMatcher"
 
 
 def check_report_cache(report, kind):

@@ -1,10 +1,8 @@
 #include "blocking/jaccard_blocking.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/obs.h"
 #include "obs/profile.h"
@@ -15,24 +13,9 @@ namespace alem {
 namespace internal_blocking {
 namespace {
 
-// Interns tokens across both tables so records hold compact int ids.
-class TokenDictionary {
- public:
-  int Intern(const std::string& token) {
-    const auto [it, inserted] =
-        ids_.emplace(token, static_cast<int>(ids_.size()));
-    (void)inserted;
-    return it->second;
-  }
-  size_t size() const { return ids_.size(); }
-
- private:
-  std::unordered_map<std::string, int> ids_;
-};
-
 std::vector<std::vector<int>> TokenizeWithDictionary(
     const Table& table, const std::vector<int>& columns,
-    TokenDictionary* dictionary) {
+    std::unordered_map<std::string, int>* dictionary) {
   std::vector<std::vector<int>> result(table.num_rows());
   std::string concatenated;
   for (size_t row = 0; row < table.num_rows(); ++row) {
@@ -43,7 +26,9 @@ std::vector<std::vector<int>> TokenizeWithDictionary(
     }
     std::vector<int>& ids = result[row];
     for (const std::string& token : TokenizeWords(concatenated)) {
-      ids.push_back(dictionary->Intern(token));
+      ids.push_back(
+          dictionary->emplace(token, static_cast<int>(dictionary->size()))
+              .first->second);
     }
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -63,7 +48,8 @@ TokenizedDataset TokenizeDataset(const EmDataset& dataset) {
     left_columns.push_back(mc.left_column);
     right_columns.push_back(mc.right_column);
   }
-  TokenDictionary dictionary;
+  // Interns tokens across both tables so records hold compact int ids.
+  std::unordered_map<std::string, int> dictionary;
   TokenizedDataset tokenized;
   tokenized.left =
       TokenizeWithDictionary(dataset.left, left_columns, &dictionary);
@@ -73,12 +59,6 @@ TokenizedDataset TokenizeDataset(const EmDataset& dataset) {
 }
 
 }  // namespace
-
-std::vector<std::vector<int>> TokenizeRecords(const Table& table,
-                                              const std::vector<int>& columns) {
-  TokenDictionary dictionary;
-  return TokenizeWithDictionary(table, columns, &dictionary);
-}
 
 double SortedJaccard(const std::vector<int>& a, const std::vector<int>& b) {
   if (a.empty() && b.empty()) return 1.0;
@@ -181,81 +161,6 @@ std::vector<RecordPair> JaccardBlockingBruteForce(
       }
     }
   }
-  return pairs;
-}
-
-std::vector<RecordPair> JaccardBlockingPrefix(const EmDataset& dataset,
-                                              const BlockingConfig& config) {
-  obs::ObsSpan span("blocking.prefix", "blocking");
-  using internal_blocking::SortedJaccard;
-  using internal_blocking::TokenizeDataset;
-  ALEM_CHECK_GT(config.jaccard_threshold, 0.0);
-  const double threshold = config.jaccard_threshold;
-  const auto tokenized = TokenizeDataset(dataset);
-
-  // Global document frequency of every token id, over both sides.
-  std::unordered_map<int, int> document_frequency;
-  for (const auto& tokens : tokenized.left) {
-    for (const int token : tokens) ++document_frequency[token];
-  }
-  for (const auto& tokens : tokenized.right) {
-    for (const int token : tokens) ++document_frequency[token];
-  }
-
-  // Per-record token lists ordered rare-first (ascending df, then id), the
-  // canonical prefix-filter ordering: rare tokens concentrate candidates.
-  auto frequency_order = [&](const std::vector<int>& tokens) {
-    std::vector<int> ordered(tokens);
-    std::sort(ordered.begin(), ordered.end(), [&](int a, int b) {
-      const int fa = document_frequency.at(a);
-      const int fb = document_frequency.at(b);
-      return fa != fb ? fa < fb : a < b;
-    });
-    return ordered;
-  };
-  // Prefix length for Jaccard threshold t: |x| - ceil(t * |x|) + 1.
-  auto prefix_length = [&](size_t size) {
-    const size_t required =
-        static_cast<size_t>(std::ceil(threshold * static_cast<double>(size)));
-    return size - required + 1;
-  };
-
-  // Index the prefixes of the right side.
-  std::unordered_map<int, std::vector<uint32_t>> index;
-  std::vector<std::vector<int>> right_ordered(tokenized.right.size());
-  for (uint32_t row = 0; row < tokenized.right.size(); ++row) {
-    if (tokenized.right[row].empty()) continue;
-    right_ordered[row] = frequency_order(tokenized.right[row]);
-    const size_t prefix = prefix_length(right_ordered[row].size());
-    for (size_t i = 0; i < prefix; ++i) {
-      index[right_ordered[row][i]].push_back(row);
-    }
-  }
-
-  // Probe with the prefixes of the left side, then verify exactly.
-  std::vector<RecordPair> pairs;
-  std::unordered_set<uint32_t> candidates;
-  for (uint32_t left = 0; left < tokenized.left.size(); ++left) {
-    const std::vector<int>& left_tokens = tokenized.left[left];
-    if (left_tokens.empty()) continue;
-    const std::vector<int> ordered = frequency_order(left_tokens);
-    const size_t prefix = prefix_length(ordered.size());
-    candidates.clear();
-    for (size_t i = 0; i < prefix; ++i) {
-      const auto it = index.find(ordered[i]);
-      if (it == index.end()) continue;
-      for (const uint32_t right : it->second) candidates.insert(right);
-    }
-    for (const uint32_t right : candidates) {
-      if (SortedJaccard(left_tokens, tokenized.right[right]) >= threshold) {
-        pairs.push_back(RecordPair{left, right});
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const RecordPair& a, const RecordPair& b) {
-              return a.left != b.left ? a.left < b.left : a.right < b.right;
-            });
   return pairs;
 }
 

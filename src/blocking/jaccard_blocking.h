@@ -3,10 +3,10 @@
 // The paper prunes the Cartesian product of record pairs with a Jaccard
 // similarity threshold over the tokenized attributes of each pair (threshold
 // 0.1875 on Abt-Buy/DBLP-ACM/DBLP-Scholar, 0.12 on Amazon-GoogleProducts,
-// 0.16 on Cora and Walmart-Amazon). This module implements that step with a
-// token inverted index so that only pairs sharing at least one token are
-// scored, plus a brute-force reference implementation used by the tests to
-// verify exact equivalence.
+// 0.16 on Cora and Walmart-Amazon). This module implements that step as one
+// exact join over a token inverted index, so that only pairs sharing at least
+// one token are scored, plus a brute-force reference implementation that the
+// tests use as the oracle for exact equivalence.
 
 #ifndef ALEM_BLOCKING_JACCARD_BLOCKING_H_
 #define ALEM_BLOCKING_JACCARD_BLOCKING_H_
@@ -31,25 +31,11 @@ std::vector<RecordPair> JaccardBlocking(const EmDataset& dataset,
 std::vector<RecordPair> JaccardBlockingBruteForce(const EmDataset& dataset,
                                                   const BlockingConfig& config);
 
-// Prefix-filtered exact join (AllPairs/PPJoin-style): tokens are globally
-// ordered by ascending document frequency and only each record's prefix
-// (the first |x| - ceil(t*|x|) + 1 tokens) is indexed/probed — any pair
-// with Jaccard >= t must collide on at least one prefix token, so the
-// output is *identical* to JaccardBlocking while probing far fewer
-// postings. Preferred for large, skewed-vocabulary tables.
-std::vector<RecordPair> JaccardBlockingPrefix(const EmDataset& dataset,
-                                              const BlockingConfig& config);
-
 // Fraction of ground-truth matches retained by `pairs` (blocking recall).
 double BlockingRecall(const EmDataset& dataset,
                       const std::vector<RecordPair>& pairs);
 
 namespace internal_blocking {
-
-// Token-set representation used by both implementations: sorted unique token
-// ids of the concatenated matched columns of each record.
-std::vector<std::vector<int>> TokenizeRecords(
-    const Table& table, const std::vector<int>& columns);
 
 // Jaccard over two sorted unique int vectors.
 double SortedJaccard(const std::vector<int>& a, const std::vector<int>& b);

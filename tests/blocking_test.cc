@@ -49,11 +49,13 @@ TEST(BlockingTest, ThresholdMonotonicity) {
   const SynthProfile profile = AbtBuyProfile();
   const EmDataset dataset = GenerateDataset(profile, 3, 0.3);
   size_t previous = SIZE_MAX;
-  for (const double threshold : {0.05, 0.1, 0.2, 0.4, 0.8}) {
-    const size_t count =
-        JaccardBlocking(dataset, BlockingConfig{threshold}).size();
-    EXPECT_LE(count, previous);
-    previous = count;
+  for (const double threshold : {0.05, 0.1, 0.2, 0.4, 0.8, 0.99, 1.0}) {
+    const BlockingConfig config{threshold};
+    const auto pairs = JaccardBlocking(dataset, config);
+    // Brute force emits pairs in (left, right) order, as JaccardBlocking does.
+    EXPECT_EQ(pairs, JaccardBlockingBruteForce(dataset, config)) << threshold;
+    EXPECT_LE(pairs.size(), previous);
+    previous = pairs.size();
   }
 }
 
@@ -61,7 +63,8 @@ TEST(BlockingTest, ThresholdMonotonicity) {
 class BlockingEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BlockingEquivalenceTest, MatchesBruteForce) {
-  const std::vector<SynthProfile> profiles = AllPublicProfiles();
+  std::vector<SynthProfile> profiles = AllPublicProfiles();
+  profiles.push_back(SocialMediaProfile());
   const SynthProfile& profile =
       profiles[static_cast<size_t>(GetParam()) % profiles.size()];
   const EmDataset dataset = GenerateDataset(profile, 11, 0.15);
@@ -80,7 +83,7 @@ TEST_P(BlockingEquivalenceTest, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProfiles, BlockingEquivalenceTest,
-                         ::testing::Range(0, 9));
+                         ::testing::Range(0, 10));
 
 TEST(BlockingTest, RecallOnSyntheticDatasetsIsHigh) {
   for (const SynthProfile& profile : AllPublicProfiles()) {

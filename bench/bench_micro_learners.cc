@@ -27,6 +27,10 @@
 namespace alem {
 namespace {
 
+// Every row runs 5 repetitions and reports only the aggregates (mean,
+// median, stddev, cv): read the median, and the cv as its noise band.
+constexpr int kRepetitions = 5;
+
 // Shared prepared dataset (Abt-Buy at reduced scale).
 const PreparedDataset& Data() {
   static const auto& data =
@@ -65,7 +69,9 @@ void BM_SvmFit(benchmark::State& state) {
     benchmark::DoNotOptimize(model.bias());
   }
 }
-BENCHMARK(BM_SvmFit)->Arg(100)->Arg(300);
+BENCHMARK(BM_SvmFit)->Arg(100)->Arg(300)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_ForestFit(benchmark::State& state) {
   const TrainingSlice slice =
@@ -78,7 +84,9 @@ void BM_ForestFit(benchmark::State& state) {
     benchmark::DoNotOptimize(model.trees().size());
   }
 }
-BENCHMARK(BM_ForestFit)->Args({10, 300})->Args({20, 300});
+BENCHMARK(BM_ForestFit)->Args({10, 300})->Args({20, 300})
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_NeuralNetFit(benchmark::State& state) {
   const TrainingSlice slice =
@@ -89,7 +97,9 @@ void BM_NeuralNetFit(benchmark::State& state) {
     benchmark::DoNotOptimize(model.trained());
   }
 }
-BENCHMARK(BM_NeuralNetFit)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NeuralNetFit)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 // ---- Warm-start refits vs. cold refits (docs/training.md) --------------
 //
@@ -127,7 +137,9 @@ BENCHMARK(BM_SvmFitWarmVsCold)
     ->Args({100, 0})
     ->Args({100, 1})
     ->Args({300, 0})
-    ->Args({300, 1});
+    ->Args({300, 1})
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_NeuralNetFitWarmVsCold(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -154,7 +166,9 @@ BENCHMARK(BM_NeuralNetFitWarmVsCold)
     ->Args({100, 1})
     ->Args({300, 0})
     ->Args({300, 1})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_ForestFitWarmVsCold(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -184,7 +198,9 @@ BENCHMARK(BM_ForestFitWarmVsCold)
     ->Args({100, 0})
     ->Args({100, 1})
     ->Args({300, 0})
-    ->Args({300, 1});
+    ->Args({300, 1})
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_RulesFit(benchmark::State& state) {
   const TrainingSlice slice =
@@ -195,7 +211,9 @@ void BM_RulesFit(benchmark::State& state) {
     benchmark::DoNotOptimize(model.dnf().conjunctions.size());
   }
 }
-BENCHMARK(BM_RulesFit)->Arg(100)->Arg(300);
+BENCHMARK(BM_RulesFit)->Arg(100)->Arg(300)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_ForestPredictPool(benchmark::State& state) {
   const TrainingSlice slice = SliceOf(300, false);
@@ -214,7 +232,9 @@ void BM_ForestPredictPool(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(pool.rows()));
 }
-BENCHMARK(BM_ForestPredictPool);
+BENCHMARK(BM_ForestPredictPool)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_SvmMarginPool(benchmark::State& state) {
   const TrainingSlice slice = SliceOf(300, false);
@@ -231,7 +251,9 @@ void BM_SvmMarginPool(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(pool.rows()));
 }
-BENCHMARK(BM_SvmMarginPool);
+BENCHMARK(BM_SvmMarginPool)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 // ---- Batch inference engine vs. the scalar loops above. Arg = threads. ----
 
@@ -257,7 +279,9 @@ void BM_SvmMarginPoolBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(rows.size()));
 }
-BENCHMARK(BM_SvmMarginPoolBatch)->Arg(1)->Arg(4);
+BENCHMARK(BM_SvmMarginPoolBatch)->Arg(1)->Arg(4)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_NeuralNetProbaPool(benchmark::State& state) {
   const TrainingSlice slice = SliceOf(300, false);
@@ -274,7 +298,9 @@ void BM_NeuralNetProbaPool(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(pool.rows()));
 }
-BENCHMARK(BM_NeuralNetProbaPool);
+BENCHMARK(BM_NeuralNetProbaPool)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_NeuralNetProbaPoolBatch(benchmark::State& state) {
   const TrainingSlice slice = SliceOf(300, false);
@@ -292,7 +318,9 @@ void BM_NeuralNetProbaPoolBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(rows.size()));
 }
-BENCHMARK(BM_NeuralNetProbaPoolBatch)->Arg(1)->Arg(4);
+BENCHMARK(BM_NeuralNetProbaPoolBatch)->Arg(1)->Arg(4)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_ForestPredictPoolBatch(benchmark::State& state) {
   const TrainingSlice slice = SliceOf(300, false);
@@ -312,7 +340,9 @@ void BM_ForestPredictPoolBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(rows.size()));
 }
-BENCHMARK(BM_ForestPredictPoolBatch)->Arg(1)->Arg(4);
+BENCHMARK(BM_ForestPredictPoolBatch)->Arg(1)->Arg(4)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 // ---- Per-backend kernel rows (docs/kernels.md) -------------------------
 //
@@ -341,9 +371,8 @@ void RunSvmMarginBackend(benchmark::State& state, const std::string& backend) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(rows.size()));
-  // Derived roofline throughput for the JSON row: rows scored per second
-  // and GEMV GFLOP/s (2 FLOPs per weight per row — multiply + accumulate),
-  // matching the "ml.batch" accounting in the report profile section.
+  // Derived throughput for the JSON row: rows scored per second and GEMV
+  // GFLOP/s (2 FLOPs per weight per row — multiply + accumulate).
   const double rows_done = static_cast<double>(state.iterations()) *
                            static_cast<double>(rows.size());
   state.counters["rows_per_sec"] =
@@ -373,7 +402,7 @@ void RunNeuralNetProbaBackend(benchmark::State& state,
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(rows.size()));
-  // Derived roofline throughput: rows/s plus forward-pass GFLOP/s from the
+  // Derived throughput: rows/s plus forward-pass GFLOP/s from the
   // layer shapes (2 FLOPs per weight per row, affine output included).
   const NeuralNetConfig net_config;
   double flops_per_row = 0.0;
@@ -403,12 +432,16 @@ void RunNeuralNetProbaBackend(benchmark::State& state,
         ("BM_SvmMarginPoolBatch/backend:" + backend).c_str(),
         [backend](benchmark::State& state) {
           RunSvmMarginBackend(state, backend);
-        });
+        })
+        ->Repetitions(kRepetitions)
+        ->ReportAggregatesOnly(true);
     benchmark::RegisterBenchmark(
         ("BM_NeuralNetProbaPoolBatch/backend:" + backend).c_str(),
         [backend](benchmark::State& state) {
           RunNeuralNetProbaBackend(state, backend);
-        });
+        })
+        ->Repetitions(kRepetitions)
+        ->ReportAggregatesOnly(true);
   }
   return 0;
 }();

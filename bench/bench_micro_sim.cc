@@ -152,8 +152,7 @@ void RunSimBatchBackend(benchmark::State& state, const std::string& function,
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(pool.left.size()));
-  // Roofline-style derived throughput per backend row: pairs scored per
-  // second, matching the "sim.batch" region of the report profile section.
+  // Derived throughput per backend row: pairs scored per second.
   state.counters["pairs_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations()) *
           static_cast<double>(pool.left.size()),

@@ -93,9 +93,9 @@ struct RunConfig : LoopBudget {
   double holdout_fraction = 0.2;
   // Drives seed sampling, learner randomness, noisy-oracle flips, splits.
   uint64_t run_seed = 1;
-  // Incremental training + evaluation engine (--warm-start, docs/
-  // training.md). Results-affecting like run_seed: a resumed session takes
-  // the mode from the snapshot, not the CLI.
+  // Warm-start training (--warm-start, docs/training.md). Results-affecting
+  // like run_seed: a resumed session takes the mode from the snapshot, not
+  // the CLI.
   WarmStartMode warm_start = WarmStartMode::kOff;
 };
 

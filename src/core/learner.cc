@@ -5,7 +5,6 @@
 
 #include "ml/serialization.h"
 #include "obs/obs.h"
-#include "obs/profile.h"
 #include "parallel/pool.h"
 
 namespace alem {
@@ -14,20 +13,6 @@ namespace {
 // Chunk size for the ml.batch fan-out. Matches the selectors' scoring grain
 // so batch spans tile the same row ranges the scalar scoring loops did.
 constexpr size_t kBatchGrain = 256;
-
-// Roofline accounting (obs/profile.h) for the ml.batch region. Every batch
-// entry point reports its input traffic (rows x dims float features);
-// *items* are added only by PredictBatch so the profiled row count stays
-// exactly equal to the ml.predict_calls counter (a report_gate invariant).
-// FLOPs are reported by the models themselves, which know the closed form.
-obs::profile::Region& MlBatchRegion() {
-  static obs::profile::Region& region = obs::profile::GetRegion("ml.batch");
-  return region;
-}
-
-uint64_t MlBatchBytes(const FeatureMatrix& features, size_t rows) {
-  return static_cast<uint64_t>(rows) * features.dims() * sizeof(float);
-}
 
 }  // namespace
 
@@ -65,8 +50,6 @@ void Learner::Fit(const FeatureMatrix& features, const std::vector<int>& labels,
 
 void Learner::PredictBatch(const FeatureMatrix& features,
                            std::span<const size_t> rows, int* out) const {
-  obs::profile::ScopedWork profile_scope(MlBatchRegion());
-  profile_scope.Add(rows.size(), MlBatchBytes(features, rows.size()));
   // Each chunk writes its own disjoint slice and every kernel preserves the
   // scalar per-row accumulation order, so the result is bitwise-identical
   // at any thread count.
@@ -83,8 +66,6 @@ void Learner::PredictBatch(const FeatureMatrix& features,
 
 void Learner::ProbaBatch(const FeatureMatrix& features,
                          std::span<const size_t> rows, double* out) const {
-  obs::profile::ScopedWork profile_scope(MlBatchRegion());
-  profile_scope.Add(0, MlBatchBytes(features, rows.size()));
   parallel::ParallelFor(
       0, rows.size(), kBatchGrain,
       [&](size_t begin, size_t end, size_t chunk) {
@@ -120,8 +101,6 @@ void Learner::ProbaChunkImpl(const FeatureMatrix& features,
 void MarginLearner::MarginBatch(const FeatureMatrix& features,
                                 std::span<const size_t> rows,
                                 double* out) const {
-  obs::profile::ScopedWork profile_scope(MlBatchRegion());
-  profile_scope.Add(0, MlBatchBytes(features, rows.size()));
   parallel::ParallelFor(
       0, rows.size(), kBatchGrain,
       [&](size_t begin, size_t end, size_t chunk) {
@@ -168,9 +147,12 @@ std::string SvmLearner::SaveModel() const {
   return model_.trained() ? SerializeSvm(model_) : std::string();
 }
 
-bool SvmLearner::RestoreModel(const std::string& blob) {
+bool SvmLearner::RestoreModel(const std::string& blob, size_t width) {
   if (blob.empty()) return true;  // Untrained snapshot; nothing to install.
-  return DeserializeSvm(blob, &model_);
+  LinearSvm model;
+  if (!DeserializeSvm(blob, &model) || !model.FitsWidth(width)) return false;
+  model_ = std::move(model);
+  return true;
 }
 
 double SvmLearner::Margin(const float* x) const { return model_.Margin(x); }
@@ -221,9 +203,14 @@ std::string NeuralNetLearner::SaveModel() const {
   return model_.trained() ? SerializeNeuralNet(model_) : std::string();
 }
 
-bool NeuralNetLearner::RestoreModel(const std::string& blob) {
+bool NeuralNetLearner::RestoreModel(const std::string& blob, size_t width) {
   if (blob.empty()) return true;
-  return DeserializeNeuralNet(blob, &model_);
+  NeuralNetwork model;
+  if (!DeserializeNeuralNet(blob, &model) || !model.FitsWidth(width)) {
+    return false;
+  }
+  model_ = std::move(model);
+  return true;
 }
 
 double NeuralNetLearner::Margin(const float* x) const {
@@ -287,9 +274,14 @@ std::string ForestLearner::SaveModel() const {
   return model_.trained() ? SerializeForest(model_) : std::string();
 }
 
-bool ForestLearner::RestoreModel(const std::string& blob) {
+bool ForestLearner::RestoreModel(const std::string& blob, size_t width) {
   if (blob.empty()) return true;
-  return DeserializeForest(blob, &model_);
+  RandomForest model;
+  if (!DeserializeForest(blob, &model) || !model.FitsWidth(width)) {
+    return false;
+  }
+  model_ = std::move(model);
+  return true;
 }
 
 double ForestLearner::PositiveFraction(const float* x) const {
@@ -332,10 +324,10 @@ std::string RuleLearner::SaveModel() const {
   return model_.trained() ? SerializeDnf(model_.dnf()) : std::string();
 }
 
-bool RuleLearner::RestoreModel(const std::string& blob) {
+bool RuleLearner::RestoreModel(const std::string& blob, size_t width) {
   if (blob.empty()) return true;
   Dnf dnf;
-  if (!DeserializeDnf(blob, &dnf)) return false;
+  if (!DeserializeDnf(blob, &dnf) || !dnf.FitsWidth(width)) return false;
   model_.RestoreTrained(std::move(dnf));
   return true;
 }

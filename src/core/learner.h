@@ -109,10 +109,14 @@ class Learner {
   // Serializes the trained model through ml/serialization so a labeling
   // session snapshot can carry it across processes (docs/sessions.md).
   // Returns an empty blob when untrained; RestoreModel accepts an empty
-  // blob as "untrained" and returns false on malformed input. The defaults
-  // cover learners without a persistent model format.
+  // blob as "untrained" and returns false on malformed input or on a model
+  // that does not read rows `width` features wide (the pool's feature
+  // width), leaving the learner untouched. The defaults cover learners
+  // without a persistent model format.
   virtual std::string SaveModel() const { return {}; }
-  virtual bool RestoreModel(const std::string& blob) { return blob.empty(); }
+  virtual bool RestoreModel(const std::string& blob, size_t /*width*/) {
+    return blob.empty();
+  }
 
   virtual std::string_view name() const = 0;
 
@@ -180,7 +184,7 @@ class SvmLearner final : public MarginLearner {
   void set_seed(uint64_t seed) override;
   std::string_view name() const override { return "LinearSVM"; }
   std::string SaveModel() const override;
-  bool RestoreModel(const std::string& blob) override;
+  bool RestoreModel(const std::string& blob, size_t width) override;
   double Margin(const float* x) const override;
   std::vector<size_t> BlockingDimensions(size_t k) const override;
 
@@ -214,7 +218,7 @@ class NeuralNetLearner final : public MarginLearner {
   void set_seed(uint64_t seed) override;
   std::string_view name() const override { return "NeuralNet"; }
   std::string SaveModel() const override;
-  bool RestoreModel(const std::string& blob) override;
+  bool RestoreModel(const std::string& blob, size_t width) override;
   double Margin(const float* x) const override;
   // Blocking for non-linear classifiers (paper Section 5.2 suggestion):
   // input dimensions ranked by back-propagated absolute weight products.
@@ -253,7 +257,7 @@ class ForestLearner final : public Learner {
   void set_seed(uint64_t seed) override;
   std::string_view name() const override { return "RandomForest"; }
   std::string SaveModel() const override;
-  bool RestoreModel(const std::string& blob) override;
+  bool RestoreModel(const std::string& blob, size_t width) override;
 
   // Fraction of trees voting positive on x (committee agreement).
   double PositiveFraction(const float* x) const;
@@ -293,7 +297,7 @@ class RuleLearner final : public Learner {
   void set_seed(uint64_t seed) override;
   std::string_view name() const override { return "Rules"; }
   std::string SaveModel() const override;
-  bool RestoreModel(const std::string& blob) override;
+  bool RestoreModel(const std::string& blob, size_t width) override;
 
   const Dnf& dnf() const { return model_.dnf(); }
   const DnfRuleLearner& model() const { return model_; }

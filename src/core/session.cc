@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/profile.h"
 #include "util/check.h"
 
 namespace alem {
@@ -598,11 +597,6 @@ bool LabelingSession::Step() {
   {
     obs::ObsSpan evaluate_span("loop.evaluate", "core");
     const std::vector<size_t>& eval_rows = evaluator_.eval_rows();
-    // Roofline items: one per evaluated row (obs/profile.h).
-    if (obs::profile::Region* profiled =
-            obs::profile::ActiveRegion("loop.evaluate")) {
-      obs::profile::AddWork(*profiled, eval_rows.size());
-    }
     std::vector<int> predictions(eval_rows.size());
     if (config_.ensemble_precision) {
       accept = EnsemblePredict(&predictions);
@@ -938,7 +932,8 @@ std::unique_ptr<LabelingSession> LabelingSession::Restore(
       new LabelingSession(learner, selector, oracle, evaluator, pool, config,
                           /*seed_pool=*/false));
   if (!ReplayPool(snapshot.section("POOL"), &pool, error)) return nullptr;
-  if (!learner.RestoreModel(snapshot.section("LRNR"))) {
+  if (!learner.RestoreModel(snapshot.section("LRNR"),
+                           pool.features().dims())) {
     *error = "session snapshot: learner model blob does not match the "
              "configured learner";
     return nullptr;

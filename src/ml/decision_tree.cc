@@ -146,6 +146,13 @@ int DecisionTree::Predict(const float* x) const {
   return nodes_[static_cast<size_t>(node)].label;
 }
 
+bool DecisionTree::FitsWidth(size_t width) const {
+  for (const Node& node : nodes_) {
+    if (!node.is_leaf && node.dim >= width) return false;
+  }
+  return true;
+}
+
 std::vector<int> DecisionTree::PredictAll(const FeatureMatrix& features) const {
   std::vector<int> predictions(features.rows());
   for (size_t i = 0; i < features.rows(); ++i) {

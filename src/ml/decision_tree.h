@@ -57,6 +57,9 @@ class DecisionTree {
   int32_t FlattenInto(std::vector<FlatNode>* out) const;
 
   bool trained() const { return !nodes_.empty(); }
+  // True when every split reads a feature below `width`, so Predict stays
+  // in bounds on rows of that width (checked when a stored model loads).
+  bool FitsWidth(size_t width) const;
   int depth() const { return depth_; }
   size_t num_nodes() const { return nodes_.size(); }
 

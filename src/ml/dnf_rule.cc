@@ -20,6 +20,15 @@ bool Dnf::Matches(const float* boolean_row) const {
   return false;
 }
 
+bool Dnf::FitsWidth(size_t width) const {
+  for (const Conjunction& conjunction : conjunctions) {
+    for (const size_t atom : conjunction.atoms) {
+      if (atom >= width) return false;
+    }
+  }
+  return true;
+}
+
 size_t Dnf::NumAtoms() const {
   size_t atoms = 0;
   for (const Conjunction& conjunction : conjunctions) {

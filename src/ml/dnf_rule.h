@@ -41,6 +41,9 @@ struct Dnf {
   // #atoms counted with repetition (the interpretability metric).
   size_t NumAtoms() const;
 
+  // True when every atom indexes into a Boolean row of `width` atoms.
+  bool FitsWidth(size_t width) const;
+
   // All one-atom-dropped relaxations of the conjunctions (Rule-Minus rules).
   // Single-atom conjunctions have no relaxation.
   std::vector<Conjunction> RuleMinusVariants() const;

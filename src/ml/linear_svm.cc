@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "kernels/backend.h"
-#include "obs/profile.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -139,14 +138,6 @@ void LinearSvm::MarginBatch(const FeatureMatrix& features,
   constexpr size_t kBlock = kernels::kSvmMarginBlock;
   const size_t d = weights_.size();
   const double* w = weights_.data();
-  // Roofline accounting: the GEMV's closed form is one multiply-add per
-  // (row, weight) — 2·d FLOPs per margin (docs/observability.md).
-  static obs::profile::Region& profile_region =
-      obs::profile::GetRegion("ml.batch");
-  if (profile_region.active.load(std::memory_order_relaxed)) {
-    obs::profile::AddWork(profile_region, 0, 0,
-                          static_cast<uint64_t>(rows.size()) * 2 * d);
-  }
   const kernels::KernelOps& ops = kernels::Active();
   for (size_t base = 0; base < rows.size(); base += kBlock) {
     const size_t b = std::min(kBlock, rows.size() - base);

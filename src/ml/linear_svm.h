@@ -79,6 +79,8 @@ class LinearSvm {
 
   bool trained() const { return !weights_.empty(); }
   const std::vector<double>& weights() const { return weights_; }
+  // True when the model has one weight per feature of a `width`-wide row.
+  bool FitsWidth(size_t width) const { return weights_.size() == width; }
   double bias() const { return bias_; }
   const LinearSvmConfig& config() const { return config_; }
 

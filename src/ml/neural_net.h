@@ -91,6 +91,11 @@ class NeuralNetwork {
   std::vector<int> PredictAll(const FeatureMatrix& features) const;
 
   bool trained() const { return !layers_.empty(); }
+  // True when the first layer reads exactly `width` input features.
+  bool FitsWidth(size_t width) const {
+    return !layers_.empty() &&
+           static_cast<size_t>(layers_.front().in) == width;
+  }
   const NeuralNetConfig& config() const { return config_; }
 
   // Per-input-dimension importance: the absolute-weight product propagated

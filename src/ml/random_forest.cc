@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "obs/profile.h"
 #include "parallel/pool.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -206,16 +205,6 @@ void RandomForest::VotesBatch(const FeatureMatrix& features,
   // vote accumulates in a register in one pass. (Trees-outer re-streams the
   // full feature matrix once per tree and measures ~1.8x slower here.)
   const FlatNode* nodes = flat_nodes_.data();
-  // Roofline accounting: tree traversal does comparisons, not FLOPs; one
-  // unit per (row, tree) is the documented work proxy for forest voting
-  // (docs/observability.md).
-  static obs::profile::Region& profile_region =
-      obs::profile::GetRegion("ml.batch");
-  if (profile_region.active.load(std::memory_order_relaxed)) {
-    obs::profile::AddWork(
-        profile_region, 0, 0,
-        static_cast<uint64_t>(rows.size()) * flat_roots_.size());
-  }
   for (size_t i = 0; i < rows.size(); ++i) {
     const float* x = features.Row(rows[i]);
     int row_votes = 0;
@@ -262,6 +251,13 @@ std::vector<int> RandomForest::PredictAll(const FeatureMatrix& features) const {
       },
       "ml.batch");
   return predictions;
+}
+
+bool RandomForest::FitsWidth(size_t width) const {
+  for (const DecisionTree& tree : trees_) {
+    if (!tree.FitsWidth(width)) return false;
+  }
+  return true;
 }
 
 int RandomForest::MaxDepth() const {

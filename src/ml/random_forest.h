@@ -78,6 +78,9 @@ class RandomForest {
 
   bool trained() const { return !trees_.empty(); }
   const std::vector<DecisionTree>& trees() const { return trees_; }
+  // True when every tree fits rows of `width` features
+  // (DecisionTree::FitsWidth).
+  bool FitsWidth(size_t width) const;
   const RandomForestConfig& config() const { return config_; }
 
   // Maximum depth across all trees (Fig. 18b).

@@ -295,6 +295,7 @@ bool DeserializeNeuralNet(const std::string& text, NeuralNetwork* model) {
     return false;
   }
   result.layers_.resize(num_layers);
+  int previous_out = 0;
   for (auto& layer : result.layers_) {
     if (!reader.Read(&layer.in) || !reader.Read(&layer.out) ||
         !reader.ReadVector(&layer.weights) || !reader.ReadVector(&layer.bias) ||
@@ -303,11 +304,18 @@ bool DeserializeNeuralNet(const std::string& text, NeuralNetwork* model) {
         !reader.ReadVector(&layer.running_var)) {
       return false;
     }
+    // Margin reads each layer's input from the previous layer's output
+    // and every per-unit vector at [0, out): the shapes must chain.
+    const size_t out = static_cast<size_t>(layer.out);
     if (layer.in <= 0 || layer.out <= 0 ||
-        layer.weights.size() !=
-            static_cast<size_t>(layer.in) * static_cast<size_t>(layer.out)) {
+        (previous_out > 0 && layer.in != previous_out) ||
+        layer.weights.size() != static_cast<size_t>(layer.in) * out ||
+        layer.bias.size() != out || layer.gamma.size() != out ||
+        layer.beta.size() != out || layer.running_mean.size() != out ||
+        layer.running_var.size() != out) {
       return false;
     }
+    previous_out = layer.out;
     // Optimizer state is not persisted; re-initialize zeroed buffers so the
     // model could be fine-tuned after loading.
     layer.v_weights.assign(layer.weights.size(), 0.0);
@@ -316,7 +324,8 @@ bool DeserializeNeuralNet(const std::string& text, NeuralNetwork* model) {
     layer.v_beta.assign(layer.beta.size(), 0.0);
   }
   if (!reader.ReadVector(&result.out_weights_) ||
-      !reader.Read(&result.out_bias_)) {
+      !reader.Read(&result.out_bias_) ||
+      result.out_weights_.size() != static_cast<size_t>(previous_out)) {
     return false;
   }
   result.v_out_weights_.assign(result.out_weights_.size(), 0.0);

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "obs/obs.h"
-#include "obs/profile.h"
 #include "obs/telemetry.h"
 
 namespace alem {
@@ -46,13 +45,6 @@ ArtifactOptions ArtifactOptionsFromEnv(const std::string& artifact) {
     const double parsed = std::atof(hz);
     if (parsed > 0.0) options.telemetry_hz = parsed;
   }
-  // Presence of ALEM_PROFILE_REGIONS enables profiling; an empty value
-  // selects the curated default region set.
-  const char* profile_regions = std::getenv("ALEM_PROFILE_REGIONS");
-  if (profile_regions != nullptr) {
-    options.profile_enabled = true;
-    options.profile_regions = profile_regions;
-  }
   // cache_dir stays empty: FeatureCache::ResolveDir reads ALEM_CACHE_DIR.
   return options;
 }
@@ -79,20 +71,12 @@ ArtifactOptions ArtifactOptionsFromFlags(const FlagParser& flags,
   if (flags.Has("telemetry-hz")) {
     options.telemetry_hz = flags.GetDouble("telemetry-hz", 0.0);
   }
-  if (flags.Has("profile-regions")) {
-    options.profile_enabled = true;
-    options.profile_regions = flags.GetString("profile-regions", "");
-  }
   return options;
 }
 
 void ArtifactOptions::EnableObservability() const {
   if (tracing_wanted()) SetTracingEnabled(true);
   if (metrics_wanted()) SetMetricsEnabled(true);
-  if (profile_enabled) {
-    profile::Enable(profile_regions.empty() ? profile::kDefaultRegions
-                                            : profile_regions);
-  }
   if (telemetry_hz > 0.0) TelemetrySampler::Global().Start(telemetry_hz);
 }
 

@@ -44,14 +44,6 @@ struct ArtifactOptions {
   // counter events reading the metric registry).
   double telemetry_hz = 0.0;
 
-  // Roofline profiling (obs/profile.h). The --profile-regions flag or the
-  // ALEM_PROFILE_REGIONS environment variable turns it on; the value is a
-  // comma-separated region allowlist, and an empty value selects the
-  // curated default hot set (profile::kDefaultRegions). Off by default so
-  // unprofiled runs stay byte-identical.
-  bool profile_enabled = false;
-  std::string profile_regions;
-
   // The report needs spans (self-time rollup) and counters, so it implies
   // both subsystems; a metrics CSV alone only needs the metric registry.
   bool tracing_wanted() const {

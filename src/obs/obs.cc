@@ -1,7 +1,5 @@
 #include "obs/obs.h"
 
-#include "obs/profile.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -524,10 +522,7 @@ ObsSpan::ObsSpan(std::string_view name, std::string_view category,
       category_(category),
       detail_(detail),
       start_ns_(TraceNowNanos()),
-      depth_(t_span_depth++) {
-  // One relaxed load when profiling is off (obs/profile.h).
-  if (profile::Enabled()) profiled_ = profile::SpanOpen(name_);
-}
+      depth_(t_span_depth++) {}
 
 ObsSpan::~ObsSpan() { Close(); }
 
@@ -536,10 +531,6 @@ double ObsSpan::Close() {
     open_ = false;
     --t_span_depth;
     duration_ns_ = TraceNowNanos() - start_ns_;
-    if (profiled_) {
-      profiled_ = false;
-      profile::SpanClose(name_, duration_ns_);
-    }
     if (TracingEnabled()) {
       SpanRecord record;
       record.name = name_;

@@ -293,10 +293,6 @@ class ObsSpan {
   uint64_t duration_ns_ = 0;
   int depth_;
   bool open_ = true;
-  // True when this span's name is an actively profiled region
-  // (obs/profile.h): Close() then feeds the duration and this thread's
-  // hardware-counter delta into that region's accumulators.
-  bool profiled_ = false;
 };
 
 // Nanoseconds since the process-wide trace epoch (first use).

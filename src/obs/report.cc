@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/profile.h"
 #include "util/json.h"
 
 // Injected by src/obs/CMakeLists.txt from `git describe` at configure time.
@@ -120,39 +119,6 @@ void StampObservability(RunReport* report) {
     entry.p95_seconds = histogram.P95();
     entry.p99_seconds = histogram.P99();
     report->latency.push_back(std::move(entry));
-  }
-  // Roofline profile (obs/profile.h): stamped only when profiling ran, so
-  // profiling-off reports stay byte-identical to pre-profile ones.
-  report->has_profile = false;
-  report->profile = ProfileStats();
-  if (profile::Enabled()) {
-    const profile::Snapshot snapshot_profile = profile::TakeSnapshot();
-    report->has_profile = true;
-    report->profile.hw = snapshot_profile.hw;
-    for (const profile::RegionSnapshot& region : snapshot_profile.regions) {
-      ProfileRegionStats entry;
-      entry.name = region.name;
-      entry.spans = region.spans;
-      entry.seconds = region.seconds;
-      entry.items = region.items;
-      entry.bytes = region.bytes;
-      entry.flops = region.flops;
-      entry.cycles = region.hw[profile::kCycles];
-      entry.instructions = region.hw[profile::kInstructions];
-      entry.cache_refs = region.hw[profile::kCacheReferences];
-      entry.cache_misses = region.hw[profile::kCacheMisses];
-      entry.branch_misses = region.hw[profile::kBranchMisses];
-      if (entry.seconds > 0.0) {
-        entry.items_per_sec = static_cast<double>(entry.items) / entry.seconds;
-        entry.bytes_per_sec = static_cast<double>(entry.bytes) / entry.seconds;
-        entry.flops_per_sec = static_cast<double>(entry.flops) / entry.seconds;
-      }
-      if (entry.cycles > 0) {
-        entry.ipc = static_cast<double>(entry.instructions) /
-                    static_cast<double>(entry.cycles);
-      }
-      report->profile.regions.push_back(std::move(entry));
-    }
   }
 }
 
@@ -352,48 +318,6 @@ std::string ReportToJson(const RunReport& report) {
       out.append("}");
     }
     if (!report.pool.regions.empty()) out.append("\n  ");
-    out.append("]}");
-  }
-  if (report.has_profile) {
-    out.append(",\n  \"profile\": {\"hw\": ");
-    AppendJsonString(&out, report.profile.hw);
-    out.append(", \"regions\": [");
-    for (size_t i = 0; i < report.profile.regions.size(); ++i) {
-      const ProfileRegionStats& region = report.profile.regions[i];
-      if (i > 0) out.append(",");
-      out.append("\n    {\"name\": ");
-      AppendJsonString(&out, region.name);
-      out.append(", \"spans\": ");
-      AppendJsonUint(&out, region.spans);
-      out.append(", \"seconds\": ");
-      AppendJsonDouble(&out, region.seconds);
-      out.append(", \"items\": ");
-      AppendJsonUint(&out, region.items);
-      out.append(", \"bytes\": ");
-      AppendJsonUint(&out, region.bytes);
-      out.append(", \"flops\": ");
-      AppendJsonUint(&out, region.flops);
-      out.append(", \"cycles\": ");
-      AppendJsonUint(&out, region.cycles);
-      out.append(", \"instructions\": ");
-      AppendJsonUint(&out, region.instructions);
-      out.append(", \"cache_refs\": ");
-      AppendJsonUint(&out, region.cache_refs);
-      out.append(", \"cache_misses\": ");
-      AppendJsonUint(&out, region.cache_misses);
-      out.append(", \"branch_misses\": ");
-      AppendJsonUint(&out, region.branch_misses);
-      out.append(", \"items_per_sec\": ");
-      AppendJsonDouble(&out, region.items_per_sec);
-      out.append(", \"bytes_per_sec\": ");
-      AppendJsonDouble(&out, region.bytes_per_sec);
-      out.append(", \"flops_per_sec\": ");
-      AppendJsonDouble(&out, region.flops_per_sec);
-      out.append(", \"ipc\": ");
-      AppendJsonDouble(&out, region.ipc);
-      out.append("}");
-    }
-    if (!report.profile.regions.empty()) out.append("\n  ");
     out.append("]}");
   }
   out.append(",\n  \"process\": {\"wall_seconds\": ");
@@ -612,36 +536,6 @@ bool ParseReportJson(std::string_view text, RunReport* report,
       }
     }
   }
-  const JsonValue* profile = top.Get("profile", /*required=*/false);
-  if (profile != nullptr && profile->is_object()) {
-    parsed.has_profile = true;
-    FieldReader prof{*profile, &missing, "profile."};
-    parsed.profile.hw = prof.String("hw");
-    const JsonValue* regions = prof.Get("regions", true);
-    if (regions != nullptr && regions->is_array()) {
-      for (const JsonValue& element : regions->array()) {
-        if (!element.is_object()) continue;
-        FieldReader reg{element, &missing, "profile.regions[]."};
-        ProfileRegionStats region;
-        region.name = reg.String("name");
-        region.spans = reg.Uint("spans");
-        region.seconds = reg.Number("seconds");
-        region.items = reg.Uint("items");
-        region.bytes = reg.Uint("bytes");
-        region.flops = reg.Uint("flops");
-        region.cycles = reg.Uint("cycles");
-        region.instructions = reg.Uint("instructions");
-        region.cache_refs = reg.Uint("cache_refs");
-        region.cache_misses = reg.Uint("cache_misses");
-        region.branch_misses = reg.Uint("branch_misses");
-        region.items_per_sec = reg.Number("items_per_sec");
-        region.bytes_per_sec = reg.Number("bytes_per_sec");
-        region.flops_per_sec = reg.Number("flops_per_sec");
-        region.ipc = reg.Number("ipc");
-        parsed.profile.regions.push_back(std::move(region));
-      }
-    }
-  }
   const JsonValue* process = top.Get("process", true);
   if (process != nullptr && process->is_object()) {
     FieldReader proc{*process, &missing, "process."};
@@ -826,33 +720,6 @@ std::vector<std::string> CheckReports(const RunReport& baseline,
     }
   }
 
-  if (options.throughput_tol >= 0.0 && baseline.has_profile &&
-      candidate.has_profile) {
-    // Gate only regions profiled on both sides with a measurable items/sec
-    // on both sides: allowlist changes add or remove regions structurally,
-    // and a region that never ran (zero work or zero time) has no
-    // throughput to regress.
-    for (const ProfileRegionStats& base : baseline.profile.regions) {
-      if (base.items_per_sec <= 0.0) continue;
-      const ProfileRegionStats* cand = nullptr;
-      for (const ProfileRegionStats& entry : candidate.profile.regions) {
-        if (entry.name == base.name) {
-          cand = &entry;
-          break;
-        }
-      }
-      if (cand == nullptr || cand->items_per_sec <= 0.0) continue;
-      const double floor = base.items_per_sec *
-                           (1.0 - options.throughput_tol);
-      if (cand->items_per_sec < floor) {
-        failures.push_back(
-            "throughput " + base.name + " regressed: " +
-            FormatDouble(cand->items_per_sec) + " items/s vs baseline " +
-            FormatDouble(base.items_per_sec) + " items/s (floor " +
-            FormatDouble(floor) + ")");
-      }
-    }
-  }
   return failures;
 }
 

@@ -41,19 +41,14 @@
 //                  regions: [ { name, runs, chunks, min_chunk_seconds,
 //                               max_chunk_seconds, mean_chunk_seconds,
 //                               utilization }, ... ] },
-//     "profile": { hw: "available"|"unavailable",
-//                  regions: [ { name, spans, seconds, items, bytes, flops,
-//                               cycles, instructions, cache_refs,
-//                               cache_misses, branch_misses, items_per_sec,
-//                               bytes_per_sec, flops_per_sec, ipc }, ... ] },
 //     "process": { wall_seconds, peak_rss_bytes } }
 // "curve"/"summary" are required for kind "run", optional for "bench".
 // "latency" (per-region tail percentiles from the lat.* histograms),
-// "pool" (thread-pool utilization; only present when the pool engaged, so
-// threads=1 reports are unchanged), and "profile" (roofline throughput and
-// hardware counters; only present when --profile-regions profiling ran)
-// are optional on parse like config.cache, config.kernel_backend, and
-// config.session/session_resumes, keeping schema v1 backward compatible.
+// and "pool" (thread-pool utilization; only present when the pool engaged,
+// so threads=1 reports are unchanged) are optional on parse like
+// config.cache, config.kernel_backend, and config.session/session_resumes,
+// keeping schema v1 backward compatible. A "profile" section written by
+// older builds is accepted and ignored.
 // Doubles are written with %.17g so a parse-back is bit-identical — the
 // determinism gate (--exact-curve) depends on this.
 
@@ -138,36 +133,6 @@ struct PoolStats {
   std::vector<PoolRegionStats> regions;
 };
 
-// One profiled region's roofline accounting (obs/profile.h): explicit work
-// counters, caller-observed wall seconds, hardware counters aggregated
-// across the caller and every pool worker, and the derived throughputs
-// (work / seconds) and IPC (instructions / cycles). Hardware fields are 0
-// when profile.hw is "unavailable".
-struct ProfileRegionStats {
-  std::string name;
-  uint64_t spans = 0;
-  double seconds = 0.0;
-  uint64_t items = 0;
-  uint64_t bytes = 0;
-  uint64_t flops = 0;
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t cache_refs = 0;
-  uint64_t cache_misses = 0;
-  uint64_t branch_misses = 0;
-  double items_per_sec = 0.0;
-  double bytes_per_sec = 0.0;
-  double flops_per_sec = 0.0;
-  double ipc = 0.0;
-};
-
-// The optional "profile" section: hardware-counter availability plus one
-// entry per allowlisted region, in allowlist order.
-struct ProfileStats {
-  std::string hw = "unavailable";  // "available" or "unavailable"
-  std::vector<ProfileRegionStats> regions;
-};
-
 struct RunReport {
   int schema_version = kReportSchemaVersion;
   std::string kind = "run";  // "run" or "bench"
@@ -200,9 +165,9 @@ struct RunReport {
   // (docs/sessions.md).
   std::string session = "fresh";
   uint64_t session_resumes = 0;
-  // Incremental training + evaluation engine mode the run executed with
-  // ("off", "on", "auto"; docs/training.md). Optional on parse so
-  // pre-warm-start reports stay loadable; defaults to "off".
+  // Warm-start training mode the run executed with ("off" or "on";
+  // docs/training.md). Optional on parse so pre-warm-start reports stay
+  // loadable; defaults to "off".
   std::string warm_start = "off";
 
   // curve + summary (required for kind "run")
@@ -222,9 +187,6 @@ struct RunReport {
   // Thread-pool utilization; only serialized when has_pool (pool engaged).
   bool has_pool = false;
   PoolStats pool;
-  // Roofline profile; only serialized when has_profile (profiling ran).
-  bool has_profile = false;
-  ProfileStats profile;
 
   // process totals
   double wall_seconds = 0.0;
@@ -279,13 +241,6 @@ struct ReportCheckOptions {
   // Regions on only one side are skipped: thread-count changes add or
   // remove parallel regions structurally. Off by default (wall-clock gate).
   double latency_p95_tol = -1.0;
-  // When >= 0, every profile region present in BOTH reports with a
-  // positive items/sec on both sides must keep its candidate throughput at
-  // or above baseline * (1 - throughput_tol); regressions beyond that
-  // fail. Silently skipped when either report lacks a profile section (the
-  // CLI prints an explicit skip notice). Off by default: throughput gates
-  // need a quiet, comparable machine.
-  double throughput_tol = -1.0;
   // Require the curves to be bit-identical (lengths, labels_used, f1) —
   // the determinism contract across thread counts.
   bool exact_curve = false;

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "obs/obs.h"
-#include "obs/profile.h"
 #include "obs/report.h"
 #include "obs/telemetry.h"
 #include "util/check.h"
@@ -440,17 +439,9 @@ void ParallelFor(size_t begin, size_t end, size_t grain, const ChunkFn& fn,
     const bool profile = obs::MetricsEnabled();
     std::vector<double> chunk_seconds;
     if (profile) chunk_seconds.assign(num_chunks, 0.0);
-    // Roofline profiling (obs/profile.h): when this region is on the
-    // profile allowlist, each worker samples its own hardware-counter
-    // group around its chunk, so parallel regions attribute cycles and
-    // cache traffic from every thread — the caller's ScopedWork or span
-    // contributes the wall time and its own (mostly waiting) counters.
-    obs::profile::Region* hw_region =
-        obs::profile::Enabled() ? obs::profile::ActiveRegion(region) : nullptr;
     obs::ObsSpan aggregate_span(std::string(region) + ".parallel", "parallel");
     pool->Run(num_chunks, [&](size_t chunk) {
       obs::ObsSpan chunk_span("parallel.chunk", "parallel", region);
-      obs::profile::ScopedHwSample hw_sample(hw_region);
       run_chunk(chunk);
       if (profile) chunk_seconds[chunk] = chunk_span.Close();
     });

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -59,6 +60,17 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   if (it == values_.end()) return default_value;
   if (it->second.empty()) return true;  // Bare flag.
   return it->second != "false" && it->second != "0";
+}
+
+std::vector<std::string> FlagParser::Unknown(
+    std::initializer_list<std::string_view> known) const {
+  std::vector<std::string> unknown;
+  for (const auto& entry : values_) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      unknown.push_back(entry.first);
+    }
+  }
+  return unknown;
 }
 
 }  // namespace alem

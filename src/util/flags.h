@@ -7,8 +7,10 @@
 #define ALEM_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace alem {
@@ -24,6 +26,11 @@ class FlagParser {
   double GetDouble(const std::string& name, double default_value) const;
   // A bare flag (no value) counts as true; "false"/"0" count as false.
   bool GetBool(const std::string& name, bool default_value) const;
+
+  // Names of the given flags that are not in `known`, sorted. A tool whose
+  // flags gate something rejects these instead of ignoring a misspelling.
+  std::vector<std::string> Unknown(
+      std::initializer_list<std::string_view> known) const;
 
   // Non-flag arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -41,6 +41,17 @@ TEST(FlagParserTest, PositionalArguments) {
   EXPECT_EQ(flags.positional()[1], "extra");
 }
 
+TEST(FlagParserTest, UnknownListsFlagsOutsideTheKnownSet) {
+  const FlagParser flags =
+      Parse({"check", "--f1-tol=0.1", "--countr-tol=0", "--exact-curve",
+             "--retired-tol", "0.1"});
+  EXPECT_EQ(flags.Unknown({"f1-tol", "counter-tol", "exact-curve"}),
+            (std::vector<std::string>{"countr-tol", "retired-tol"}));
+  EXPECT_TRUE(flags.Unknown({"f1-tol", "countr-tol", "exact-curve",
+                             "retired-tol"})
+                  .empty());
+}
+
 TEST(FlagParserTest, DefaultsWhenAbsent) {
   const FlagParser flags = Parse({});
   EXPECT_EQ(flags.GetString("missing", "fallback"), "fallback");

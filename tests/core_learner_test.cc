@@ -2,6 +2,7 @@
 
 #include "core/approaches.h"
 #include "core/learner.h"
+#include "ml/serialization.h"
 #include "util/rng.h"
 
 namespace alem {
@@ -87,6 +88,41 @@ TEST(LearnerWrapperTest, MarginLearnersExposeMargins) {
       EXPECT_EQ(learner->Predict(features.Row(i)), margin > 0.0 ? 1 : 0);
     }
   }
+}
+
+// A stored model that reads outside the pool's feature width is rejected
+// on restore, leaving the learner untrained, instead of reading out of
+// bounds at the next prediction.
+TEST(LearnerWrapperTest, RestoreModelChecksFeatureWidth) {
+  FeatureMatrix features;
+  std::vector<int> labels;
+  MakeBlobs(100, &features, &labels);
+  SvmLearner svm{LinearSvmConfig{}};
+  NeuralNetLearner nn{NeuralNetConfig{}};
+  ForestLearner forest{RandomForestConfig{}};
+  // The SVM and the network read exactly 2 features; the forest's splits
+  // read features below 2, so only a width no split fits (0) fails it.
+  for (const auto& [learner, too_narrow] :
+       std::vector<std::pair<Learner*, size_t>>{
+           {&svm, 1}, {&nn, 1}, {&forest, 0}}) {
+    SCOPED_TRACE(std::string(learner->name()));
+    learner->Fit(features, labels);
+    const std::string blob = learner->SaveModel();
+    EXPECT_TRUE(learner->CloneUntrained()->RestoreModel(blob, 2));
+    const std::unique_ptr<Learner> narrow = learner->CloneUntrained();
+    EXPECT_FALSE(narrow->RestoreModel(blob, too_narrow));
+    EXPECT_FALSE(narrow->trained());
+  }
+  EXPECT_FALSE(svm.CloneUntrained()->RestoreModel(svm.SaveModel(), 3));
+  EXPECT_FALSE(nn.CloneUntrained()->RestoreModel(nn.SaveModel(), 3));
+
+  Dnf dnf;
+  dnf.conjunctions.push_back(Conjunction{{0, 4}});
+  const std::string rule_blob = SerializeDnf(dnf);
+  RuleLearner rules;
+  EXPECT_FALSE(rules.RestoreModel(rule_blob, 4));
+  EXPECT_FALSE(rules.trained());
+  EXPECT_TRUE(rules.RestoreModel(rule_blob, 5));
 }
 
 // ---- Approach factory ----

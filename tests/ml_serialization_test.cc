@@ -155,6 +155,26 @@ TEST(SerializationTest, RejectsCorruptNodeIndices) {
   EXPECT_FALSE(DeserializeTree(blob("0 0 0 0.5 2 2"), &restored));
 }
 
+TEST(SerializationTest, RejectsInconsistentNeuralNetShapes) {
+  // One hidden layer (2 -> 2): header, config, layer count, then in, out,
+  // weights, bias, gamma, beta, running mean, running var, and the output
+  // weights and bias. Every vector line is "count values...".
+  auto blob = [](const std::string& bias, const std::string& out_weights) {
+    return "alem-nn\n1\n1 2\n10\n8\n0.01\n0\n0.9\n0\n1\n10\n1\n1\n2\n2\n"
+           "4 1 0 0 1\n" +
+           bias + "\n2 1 1\n2 0 0\n2 0 0\n2 1 1\n" + out_weights + "\n0\n";
+  };
+  NeuralNetwork restored;
+  ASSERT_TRUE(DeserializeNeuralNet(blob("2 0 0", "2 1 1"), &restored));
+  const float x[] = {0.5f, 0.5f};
+  EXPECT_GT(restored.Margin(x), 0.0);
+
+  // Per-unit vectors and the output weights must match the layer width,
+  // or Margin reads past them.
+  EXPECT_FALSE(DeserializeNeuralNet(blob("1 0", "2 1 1"), &restored));
+  EXPECT_FALSE(DeserializeNeuralNet(blob("2 0 0", "1 1"), &restored));
+}
+
 TEST(SerializationTest, FileRoundTrip) {
   FeatureMatrix features;
   std::vector<int> labels;

@@ -481,6 +481,33 @@ TEST(ReportJsonTest, LatencyAndPoolSectionsAreOptionalOnParse) {
   EXPECT_FALSE(parsed.has_pool);
 }
 
+TEST(ReportJsonTest, LegacyProfileSectionIsIgnoredOnParse) {
+  // Older builds wrote a "profile" section (per-region work counters and
+  // hardware counters, as in bench/artifacts/
+  // cli_abtbuy_linear_margin_full.report.json). Schema v1 still parses
+  // such reports; the section is dropped and never written back.
+  const std::string json = ReportToJson(MakeReport());
+  const std::string process_key = ",\n  \"process\":";
+  const size_t at = json.find(process_key);
+  ASSERT_NE(at, std::string::npos);
+  const std::string legacy =
+      json.substr(0, at) +
+      ",\n  \"profile\": {\"hw\": \"unavailable\", \"regions\": [\n"
+      "    {\"name\": \"sim.batch\", \"spans\": 63, \"seconds\": 0.568897286, "
+      "\"items\": 200781, \"bytes\": 21728196, \"flops\": 0, \"cycles\": 0, "
+      "\"instructions\": 0, \"cache_refs\": 0, \"cache_misses\": 0, "
+      "\"branch_misses\": 0, \"items_per_sec\": 352930.14212059363, "
+      "\"bytes_per_sec\": 38193530.77384869, \"flops_per_sec\": 0, "
+      "\"ipc\": 0}\n  ]}" +
+      json.substr(at);
+  RunReport parsed;
+  std::string error;
+  ASSERT_TRUE(ParseReportJson(legacy, &parsed, &error)) << error;
+  const std::string rewritten = ReportToJson(parsed);
+  EXPECT_EQ(rewritten.find("\"profile\""), std::string::npos);
+  EXPECT_EQ(rewritten, json);
+}
+
 TEST(CheckReportsTest, LatencyP95GateIsOptIn) {
   const RunReport baseline = MakeReportWithTelemetry();
   RunReport candidate = baseline;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -454,6 +455,89 @@ TEST(SessionSnapshotTest, RetiredAutoModeAndEvalSectionStillRestore) {
   ASSERT_NE(resumed, nullptr) << error;
   Drive(resumed.get());
   ExpectCurvesIdentical(golden.curve(), resumed->curve());
+}
+
+// ---- Model blobs against the pool's feature width ----------------------
+
+// Env with a random forest in place of the SVM.
+struct ForestEnv {
+  ActivePool pool;
+  NoisyOracle oracle;
+  ProgressiveEvaluator evaluator;
+  ForestLearner learner;
+  QbcSelector selector;
+
+  explicit ForestEnv(const Problem& problem)
+      : pool(problem.features),
+        oracle(problem.truth, 0.05, 99),
+        evaluator(problem.truth),
+        learner{RandomForestConfig{}},
+        selector(3, 7) {}
+};
+
+// Rewrites the feature index of the first split node in a serialized
+// forest. Node lines read "is_leaf label dim threshold left right".
+std::string WithFirstSplitDim(const std::string& blob, size_t dim) {
+  std::istringstream in(blob);
+  std::string out;
+  std::string line;
+  bool rewritten = false;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    if (!rewritten && tokens.size() == 6 && tokens[0] == "0") {
+      tokens[2] = std::to_string(dim);
+      line = tokens[0];
+      for (size_t i = 1; i < tokens.size(); ++i) line += ' ' + tokens[i];
+      rewritten = true;
+    }
+    out += line + '\n';
+  }
+  return out;
+}
+
+// A forest split on feature `width` (one past the pool's last column) is
+// well-formed text, so only a check against the pool catches it. Restore
+// must fail with the learner-model error rather than install a model whose
+// first prediction reads out of bounds.
+TEST(SessionSnapshotTest, ModelReadingPastFeatureWidthFailsRestore) {
+  const Problem problem = MakeProblem(400, 5);
+  ForestEnv env(problem);
+  LabelingSession session(env.learner, env.selector, env.oracle,
+                          env.evaluator, env.pool, TestConfig());
+  Drive(&session, 1);
+  SessionSnapshot snapshot;
+  std::string error;
+  ASSERT_TRUE(session.SaveTo(&snapshot, &error)) << error;
+  const std::string blob = snapshot.section("LRNR");
+  {
+    ForestEnv fresh(problem);
+    ASSERT_NE(LabelingSession::Restore(fresh.learner, fresh.selector,
+                                       fresh.oracle, fresh.evaluator,
+                                       fresh.pool, snapshot, &error),
+              nullptr)
+        << error;
+  }
+
+  const std::string corrupt =
+      WithFirstSplitDim(blob, problem.features.dims());
+  ASSERT_NE(corrupt, blob);
+  snapshot.set("LRNR", corrupt);
+  // Re-seal the container so the checksum holds and only the model check
+  // can reject it.
+  SessionSnapshot loaded;
+  ASSERT_TRUE(SessionSnapshot::Parse(snapshot.Serialize(), &loaded, &error))
+      << error;
+  ForestEnv fresh(problem);
+  error.clear();
+  EXPECT_EQ(LabelingSession::Restore(fresh.learner, fresh.selector,
+                                     fresh.oracle, fresh.evaluator,
+                                     fresh.pool, loaded, &error),
+            nullptr);
+  EXPECT_NE(error.find("learner model blob does not match"),
+            std::string::npos)
+      << error;
 }
 
 // ---- Active ensembles -------------------------------------------------

@@ -15,7 +15,7 @@
 //       [--threads=N] [--cache-dir=DIR] [--no-cache]
 //       [--kernel-backend=auto|scalar|avx2] [--warm-start=off|on]
 //       [--trace=PATH.json] [--trace-jsonl=PATH.jsonl] [--metrics=PATH.csv]
-//       [--report=PATH.json] [--telemetry-hz=HZ] [--profile-regions[=CSV]]
+//       [--report=PATH.json] [--telemetry-hz=HZ]
 //       Runs one active-learning experiment and prints the learning curve.
 //       --threads sets the worker count for committee fits / example
 //       scoring / forest fits / batch predict (default: ALEM_THREADS env
@@ -46,15 +46,8 @@
 //       background telemetry sampler at HZ samples/second (implies tracing
 //       + metrics): RSS, cache traffic, predict calls, and pool occupancy
 //       become Chrome-trace counter events so Perfetto shows resource
-//       curves over the run. --profile-regions turns on the roofline
-//       profiling layer (hardware counters via perf_event_open where the
-//       kernel permits, plus explicit work counters) for the given
-//       comma-separated region allowlist — an empty value selects the
-//       curated hot set (sim.batch, ml.batch, selector.scoring,
-//       harness.featurize, loop.evaluate); the derived throughput and IPC
-//       land in the report's "profile" section (docs/observability.md).
-//       Absent path flags fall back to the ALEM_TRACE_DIR /
-//       ALEM_REPORT_DIR / ALEM_TELEMETRY_HZ / ALEM_PROFILE_REGIONS
+//       curves over the run. Absent path flags fall back to the
+//       ALEM_TRACE_DIR / ALEM_REPORT_DIR / ALEM_TELEMETRY_HZ
 //       environment knobs, same as the bench binaries (see
 //       docs/observability.md).
 //   alem_cli session <run|save|resume>
@@ -455,6 +448,16 @@ int CommandSession(const FlagParser& flags) {
   return 1;
 }
 
+// A stored model reads features by index: applied to a dataset whose
+// feature rows have another width it would read out of bounds.
+int ModelWidthMismatch(size_t width) {
+  std::fprintf(stderr,
+               "model does not match this dataset's %zu-feature rows "
+               "(trained on another dataset?)\n",
+               width);
+  return 1;
+}
+
 int CommandApply(const FlagParser& flags) {
   const std::string model_path = flags.GetString("model", "");
   if (model_path.empty()) {
@@ -476,9 +479,12 @@ int CommandApply(const FlagParser& flags) {
   std::vector<int> predictions;
   RandomForest forest;
   LinearSvm svm;
+  const size_t width = data.float_features.dims();
   if (DeserializeForest(blob, &forest)) {
+    if (!forest.FitsWidth(width)) return ModelWidthMismatch(width);
     predictions = forest.PredictAll(data.float_features);
   } else if (DeserializeSvm(blob, &svm)) {
+    if (!svm.FitsWidth(width)) return ModelWidthMismatch(width);
     predictions = svm.PredictAll(data.float_features);
   } else {
     std::fprintf(stderr,

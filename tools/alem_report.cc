@@ -5,25 +5,22 @@
 //   alem_report show REPORT.json
 //       Prints a human summary: config, F1 summary, top spans, per-region
 //       latency percentiles, the thread-pool utilization section (when
-//       present), the roofline profile throughput/IPC table (when
 //       present), and counters.
 //   alem_report compare A.json B.json
-//       Side-by-side key numbers for two reports (quality + latency +
-//       per-region profile throughput when both carry one).
+//       Side-by-side key numbers for two reports (quality + latency).
 //   alem_report diff A.json B.json
 //       Lists every differing summary field, counter, and span rollup row.
 //   alem_report check BASELINE.json CANDIDATE.json
 //       [--f1-tol=0.02] [--latency-tol=FRAC] [--counter-tol=FRAC]
-//       [--latency-p95-tol=FRAC] [--throughput-tol=FRAC] [--exact-curve]
+//       [--latency-p95-tol=FRAC] [--exact-curve]
 //       The regression gate: exits nonzero (printing each violation) when
 //       the candidate's F1 trails the baseline beyond --f1-tol, when a
 //       run-kind candidate has zero oracle.queries /
-//       selector.scored_examples, when latency/counter/throughput gates
-//       (opt-in) trip, or when --exact-curve finds any curve divergence.
-//       --throughput-tol gates per-region profile items/sec; it is
-//       explicitly skipped (with a notice, not a silent pass) when either
-//       report lacks a "profile" section. This is what the `report` ctest
-//       label runs against the committed golden baseline.
+//       selector.scored_examples, when latency/counter gates (opt-in)
+//       trip, or when --exact-curve finds any curve divergence. Any other
+//       flag is an error, so a misspelled tolerance cannot switch its
+//       gate off. This is what the `report` ctest label runs against the
+//       committed golden baseline.
 //   alem_report aggregate DIR [--out=BENCH_alembench.json]
 //       Rolls every *.report.json under DIR into one machine-readable
 //       trajectory file (sorted by file name for determinism).
@@ -108,47 +105,6 @@ void PrintPoolSummary(const RunReport& report) {
   }
 }
 
-// Human-scaled "1.23M" formatting for throughput columns, where raw
-// items/sec spans six orders of magnitude between regions.
-std::string FormatRate(double value) {
-  char buf[32];
-  if (value >= 1e9) {
-    std::snprintf(buf, sizeof(buf), "%.2fG", value / 1e9);
-  } else if (value >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.2fM", value / 1e6);
-  } else if (value >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.2fk", value / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2f", value);
-  }
-  return buf;
-}
-
-void PrintProfileTable(const RunReport& report) {
-  if (!report.has_profile) return;
-  const obs::ProfileStats& profile = report.profile;
-  std::printf("\n  profile (hw counters %s):\n", profile.hw.c_str());
-  if (profile.regions.empty()) return;
-  std::printf("  %-20s %6s %9s %11s %10s %9s %9s %5s %7s\n",
-              "profile region", "spans", "time(s)", "items", "items/s",
-              "GB/s", "GFLOP/s", "IPC", "miss%");
-  for (const obs::ProfileRegionStats& region : profile.regions) {
-    const double miss_rate =
-        region.cache_refs > 0
-            ? 100.0 * static_cast<double>(region.cache_misses) /
-                  static_cast<double>(region.cache_refs)
-            : 0.0;
-    std::printf("  %-20s %6llu %9.3f %11llu %10s %9.3f %9.3f %5.2f %6.1f%%\n",
-                region.name.c_str(),
-                static_cast<unsigned long long>(region.spans),
-                region.seconds,
-                static_cast<unsigned long long>(region.items),
-                FormatRate(region.items_per_sec).c_str(),
-                region.bytes_per_sec / 1e9, region.flops_per_sec / 1e9,
-                region.ipc, miss_rate);
-  }
-}
-
 int CommandShow(const std::string& path) {
   RunReport report;
   if (!Load(path, &report)) return 1;
@@ -166,7 +122,6 @@ int CommandShow(const std::string& path) {
   }
   PrintLatencyTable(report);
   PrintPoolSummary(report);
-  PrintProfileTable(report);
   std::printf("\n");
   for (const auto& [name, value] : report.counters) {
     std::printf("  %-32s %llu\n", name.c_str(),
@@ -211,20 +166,6 @@ int CommandCompare(const std::string& path_a, const std::string& path_b) {
     row("pool.workers", static_cast<double>(a.pool.workers),
         static_cast<double>(b.pool.workers));
     row("pool.utilization", a.pool.utilization, b.pool.utilization);
-  }
-  if (a.has_profile && b.has_profile) {
-    for (const obs::ProfileRegionStats& region_a : a.profile.regions) {
-      if (region_a.items_per_sec <= 0.0) continue;
-      for (const obs::ProfileRegionStats& region_b : b.profile.regions) {
-        if (region_b.name != region_a.name ||
-            region_b.items_per_sec <= 0.0) {
-          continue;
-        }
-        row(("items_per_sec." + region_a.name).c_str(),
-            region_a.items_per_sec, region_b.items_per_sec);
-        break;
-      }
-    }
   }
   std::printf("  (A = %s, B = %s)\n", path_a.c_str(), path_b.c_str());
   return 0;
@@ -300,6 +241,15 @@ int CommandDiff(const std::string& path_a, const std::string& path_b) {
 
 int CommandCheck(const FlagParser& flags, const std::string& baseline_path,
                  const std::string& candidate_path) {
+  const std::vector<std::string> unknown = flags.Unknown(
+      {"f1-tol", "latency-tol", "counter-tol", "latency-p95-tol",
+       "exact-curve"});
+  if (!unknown.empty()) {
+    for (const std::string& name : unknown) {
+      std::fprintf(stderr, "check: unknown flag --%s\n", name.c_str());
+    }
+    return 2;
+  }
   RunReport baseline, candidate;
   if (!Load(baseline_path, &baseline) || !Load(candidate_path, &candidate)) {
     return 1;
@@ -310,21 +260,7 @@ int CommandCheck(const FlagParser& flags, const std::string& baseline_path,
   options.counter_tol = flags.GetDouble("counter-tol", options.counter_tol);
   options.latency_p95_tol =
       flags.GetDouble("latency-p95-tol", options.latency_p95_tol);
-  options.throughput_tol =
-      flags.GetDouble("throughput-tol", options.throughput_tol);
   options.exact_curve = flags.GetBool("exact-curve", false);
-  // CheckReports silently skips the throughput gate when either side has
-  // no profile section; surface that as an explicit notice so a gate the
-  // operator asked for never looks like a pass it did not earn.
-  if (options.throughput_tol >= 0.0 &&
-      (!baseline.has_profile || !candidate.has_profile)) {
-    std::printf("note: --throughput-tol skipped: %s no \"profile\" section "
-                "(run with --profile-regions to record one)\n",
-                !baseline.has_profile && !candidate.has_profile
-                    ? "neither report has"
-                    : (!baseline.has_profile ? "baseline report has"
-                                             : "candidate report has"));
-  }
   const std::vector<std::string> failures =
       obs::CheckReports(baseline, candidate, options);
   for (const std::string& failure : failures) {
@@ -441,30 +377,6 @@ int CommandAggregate(const FlagParser& flags, const std::string& dir) {
       }
       out.append("]");
     }
-    if (report.has_profile) {
-      out.append(",\n     \"profile\": {\"hw\": ");
-      AppendJsonString(&out, report.profile.hw);
-      out.append(", \"regions\": [");
-      bool first_region = true;
-      for (const obs::ProfileRegionStats& region : report.profile.regions) {
-        if (!first_region) out.append(", ");
-        first_region = false;
-        out.append("{\"name\": ");
-        AppendJsonString(&out, region.name);
-        out.append(", \"items\": ");
-        AppendJsonUint(&out, region.items);
-        out.append(", \"seconds\": ");
-        AppendJsonDouble(&out, region.seconds);
-        out.append(", \"items_per_sec\": ");
-        AppendJsonDouble(&out, region.items_per_sec);
-        out.append(", \"flops_per_sec\": ");
-        AppendJsonDouble(&out, region.flops_per_sec);
-        out.append(", \"ipc\": ");
-        AppendJsonDouble(&out, region.ipc);
-        out.append("}");
-      }
-      out.append("]}");
-    }
     if (report.has_pool) {
       out.append(",\n     \"pool\": {\"workers\": ");
       out.append(std::to_string(report.pool.workers));
@@ -513,8 +425,7 @@ int Usage() {
       "  alem_report diff A.report.json B.report.json\n"
       "  alem_report check BASELINE.json CANDIDATE.json [--f1-tol=0.02]\n"
       "      [--latency-tol=FRAC] [--counter-tol=FRAC]\n"
-      "      [--latency-p95-tol=FRAC] [--throughput-tol=FRAC]\n"
-      "      [--exact-curve]\n"
+      "      [--latency-p95-tol=FRAC] [--exact-curve]\n"
       "  alem_report aggregate DIR [--out=BENCH_alembench.json]\n");
   return 1;
 }

@@ -25,8 +25,8 @@
 # (docs/kernels.md), and report_gate.sh stage 7 enforces that. They are
 # also pinned to --warm-start=off (cold refits + full rescores, immune to
 # any ALEM_WARM_START in the refreshing environment): the baselines define
-# the exact-replay contract, and the incremental engine is gated against
-# them by report_gate.sh stage 10 (docs/training.md).
+# the exact-replay contract, and warm-start runs are gated against
+# them by report_gate.sh stage 9 (docs/training.md).
 #
 # Usage: tools/refresh_baseline.sh [BUILD_DIR]   (default: build)
 set -eu

@@ -38,29 +38,22 @@
 #      bitwise (--exact-curve --counter-tol=0) while stamping its name
 #      into config.kernel_backend — the end-to-end counterpart of the
 #      kernels-labeled ctest matrix (docs/kernels.md).
-#   8. Roofline profile: a --profile-regions run must replay the golden
-#      baseline bitwise (profiling must not perturb results), emit a
-#      schema-valid "profile" section whose work counters satisfy the
-#      cross-layer invariants (sim.batch items == sim.calls, ml.batch
-#      items == ml.predict_calls), stamp profile.hw as available or
-#      unavailable, and aggregate into the BENCH trajectory
-#      (docs/observability.md, "Profiling").
-#   9. Resumable sessions: the golden linear-margin workload saved after
+#   8. Resumable sessions: the golden linear-margin workload saved after
 #      2 iterations (`alem_cli session save`) and resumed in a fresh
 #      4-thread process must produce a stitched report that replays the
 #      committed uninterrupted baseline with the curve exact and every
 #      counter exact (--exact-curve --counter-tol=0), stamped
 #      config.session="resumed" / session_resumes=1 (docs/sessions.md).
-#  10. Warm starts (docs/training.md): a --warm-start=on run must stay
+#   9. Warm starts (docs/training.md): a --warm-start=on run must stay
 #      within the F1 tolerance of a cold run with warm/cold fit counters
 #      consistent and config.warm_start stamped; and the warm run paused
 #      after 2 iterations and resumed in a fresh process must replay the
 #      uninterrupted warm run bitwise (warm refits are restartable).
-#  11. Active ensemble (Section 5.2): cold runs of the golden
+#  10. Active ensemble (Section 5.2): cold runs of the golden
 #      linear-margin-ensemble workload (100 labels, two accepted members)
 #      on every available kernel backend must replay its committed
 #      baseline with the curve exact and every counter exact.
-#  12. Ensemble sessions: the same workload saved after 4 iterations
+#  11. Ensemble sessions: the same workload saved after 4 iterations
 #      (one member accepted) and resumed in a fresh 4-thread process must
 #      replay that baseline exactly (docs/sessions.md).
 set -eu
@@ -104,14 +97,14 @@ run_cli() {
       "$@" > /dev/null
 }
 
-echo "[1/12] determinism: cold cached t1 curve == uncached t4 curve"
+echo "[1/11] determinism: cold cached t1 curve == uncached t4 curve"
 mkdir -p "$work/cache"
 run_cli linear-margin 1 "$work/t1.report.json" --cache-dir="$work/cache"
 run_cli linear-margin 4 "$work/t4.report.json" --no-cache
 "$report_tool" check "$work/t1.report.json" "$work/t4.report.json" \
     --exact-curve
 
-echo "[2/12] cache warmth: warm rerun identical, provenance says hit"
+echo "[2/11] cache warmth: warm rerun identical, provenance says hit"
 run_cli linear-margin 1 "$work/warm.report.json" --cache-dir="$work/cache"
 "$report_tool" check "$work/t1.report.json" "$work/warm.report.json" \
     --exact-curve
@@ -131,7 +124,7 @@ assert warm["counters"].get("featurize.cache.hit") == 1, warm["counters"]
 assert warm["counters"].get("featurize.cache.miss", 0) == 0, warm["counters"]
 EOF
 
-echo "[3/12] exact replay: five golden workloads, curve and counters exact"
+echo "[3/11] exact replay: five golden workloads, curve and counters exact"
 for approach in $golden; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   candidate="$work/cand_$name.report.json"
@@ -146,7 +139,7 @@ for approach in $golden; do
       --exact-curve --counter-tol=0
 done
 
-echo "[4/12] sensitivity: perturbed baseline must fail the check"
+echo "[4/11] sensitivity: perturbed baseline must fail the check"
 python3 - "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$work/perturbed.json" <<'EOF'
 import json, sys
@@ -166,7 +159,7 @@ if "$report_tool" check "$work/perturbed.json" "$work/t1.report.json" \
 fi
 echo "perturbed baseline rejected as expected"
 
-echo "[5/12] bench path: ALEM_REPORT_DIR export + aggregation"
+echo "[5/11] bench path: ALEM_REPORT_DIR export + aggregation"
 mkdir -p "$work/reports"
 ALEM_REPORT_DIR="$work/reports" ALEM_SCALE=0.2 ALEM_MAX_LABELS=40 \
     ALEM_THREADS=2 "$build_dir/bench/bench_fig10d_blocking_time" \
@@ -182,7 +175,7 @@ assert agg["kind"] == "aggregate", agg.get("kind")
 assert len(agg["reports"]) >= 1, "aggregate rolled up no reports"
 EOF
 
-echo "[6/12] tail latency: telemetry run, pool invariant, p95 determinism"
+echo "[6/11] tail latency: telemetry run, pool invariant, p95 determinism"
 run_cli linear-margin 4 "$work/lat4.report.json" --no-cache \
     --telemetry-hz=50 --trace="$work/lat4.trace.json" \
     --metrics="$work/lat4.metrics.csv"
@@ -229,7 +222,7 @@ if "$report_tool" check "$work/lat_perturbed.json" "$work/lat4.report.json" \
 fi
 echo "perturbed latency baseline rejected as expected"
 
-echo "[7/12] kernel backends: scalar golden replay, per-backend equivalence"
+echo "[7/11] kernel backends: scalar golden replay, per-backend equivalence"
 # Scalar-forced cold runs must replay all five committed 60-label
 # baselines bitwise, every counter exact — pins the scalar reference path
 # end to end.
@@ -271,70 +264,7 @@ assert stamped == "scalar", (
     f"config.kernel_backend is {stamped!r}, expected 'scalar'")
 EOF
 
-echo "[8/12] roofline profile: bitwise replay, work-counter invariants"
-# A profiled cold run (default curated region set) must not perturb the
-# workload: the curve and every counter must replay the golden baseline
-# exactly, even while HW counters and work accounting are live.
-mkdir -p "$work/cache_profile"
-run_cli linear-margin 1 "$work/profiled.report.json" \
-    --cache-dir="$work/cache_profile" --profile-regions=
-"$report_tool" check \
-    "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
-    "$work/profiled.report.json" --exact-curve --counter-tol=0
-# Schema + self-consistency of the emitted profile section.
-python3 "$repo_root/tools/trace_summary.py" --check \
-    --report "$work/profiled.report.json"
-# Cross-layer work-counter invariants: the profile layer and the metric
-# registry count the same events through independent code paths.
-python3 - "$work/profiled.report.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-profile = report.get("profile")
-assert profile, "profiled run emitted no profile section"
-assert profile["hw"] in ("available", "unavailable"), profile["hw"]
-regions = {r["name"]: r for r in profile["regions"]}
-expected = ("sim.batch", "ml.batch", "selector.scoring",
-            "harness.featurize", "loop.evaluate")
-missing = [name for name in expected if name not in regions]
-assert not missing, f"default regions missing from profile: {missing}"
-counters = report["counters"]
-sim = regions["sim.batch"]
-assert sim["items"] == counters["sim.calls"], (
-    f"sim.batch items {sim['items']} != sim.calls {counters['sim.calls']}")
-ml = regions["ml.batch"]
-assert ml["items"] == counters["ml.predict_calls"], (
-    f"ml.batch items {ml['items']} != ml.predict_calls "
-    f"{counters['ml.predict_calls']}")
-for name in ("sim.batch", "ml.batch"):
-    region = regions[name]
-    assert region["spans"] > 0, f"{name}: no spans recorded"
-    assert region["seconds"] > 0, f"{name}: no wall time recorded"
-    assert region["items_per_sec"] > 0, f"{name}: no throughput derived"
-print(f"profile OK: hw={profile['hw']}, "
-      f"sim.batch {sim['items_per_sec']:.3g} pairs/s, "
-      f"ml.batch {ml['items_per_sec']:.3g} rows/s")
-EOF
-# The profiled report must fold into the aggregate trajectory with its
-# per-region throughput summaries intact.
-mkdir -p "$work/profile_reports"
-cp "$work/profiled.report.json" \
-    "$work/profile_reports/profiled.report.json"
-(cd "$work" && "$report_tool" aggregate profile_reports \
-    --out=BENCH_profile_gate.json)
-python3 - "$work/BENCH_profile_gate.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    agg = json.load(f)
-entry = agg["reports"][0]
-profile = entry.get("profile")
-assert profile, "aggregate dropped the profile section"
-names = {r["name"] for r in profile["regions"]}
-assert {"sim.batch", "ml.batch"} <= names, names
-assert all(r["items_per_sec"] >= 0 for r in profile["regions"])
-EOF
-
-echo "[9/12] resumable sessions: half-run save, fresh-process resume, stitch"
+echo "[8/11] resumable sessions: half-run save, fresh-process resume, stitch"
 # Pause the golden linear-margin workload after 2 iterations (cold cache,
 # matching the baseline's featurize.cache.* counters), resume it in a NEW
 # process at 4 threads with the cache disabled, and require the stitched
@@ -364,7 +294,7 @@ assert config.get("session_resumes") == 1, config.get("session_resumes")
 EOF
 echo "resumed run replays the golden baseline exactly"
 
-echo "[10/12] warm starts: warm gated, warm resume"
+echo "[9/11] warm starts: warm gated, warm resume"
 # on = warm refits: the curve is gated against a cold run by F1 tolerance,
 # not bitwise. The comparison runs at 150 labels against a freshly
 # generated cold reference rather than the committed 60-label baseline:
@@ -426,7 +356,7 @@ EOF
 echo "warm resume replays the uninterrupted warm run exactly"
 
 ensemble_baseline="$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json"
-echo "[11/12] active ensemble: golden replay on every kernel backend"
+echo "[10/11] active ensemble: golden replay on every kernel backend"
 for backend in $backends; do
   mkdir -p "$work/cache_ens_$backend"
   "$cli" run --dataset=Abt-Buy --approach=linear-margin-ensemble \
@@ -437,7 +367,7 @@ for backend in $backends; do
       "$work/ens_$backend.report.json" --exact-curve --counter-tol=0
 done
 
-echo "[12/12] ensemble sessions: save after an acceptance, 4-thread resume"
+echo "[11/11] ensemble sessions: save after an acceptance, 4-thread resume"
 mkdir -p "$work/cache_ens_session"
 "$cli" session save --dataset=Abt-Buy --approach=linear-margin-ensemble \
     --scale=0.25 --max-labels=100 --threads=1 \

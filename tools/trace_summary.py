@@ -390,7 +390,6 @@ def check_report(report_path):
     failures.extend(check_report_cache(report, kind))
     failures.extend(check_report_latency(report))
     failures.extend(check_report_pool(report))
-    failures.extend(check_report_profile(report))
     failures.extend(check_report_warm_start(report))
 
     if kind == "run":
@@ -594,87 +593,6 @@ def check_report_pool(report):
             if not 0.0 <= region["utilization"] <= 1.0 + 1e-9:
                 failures.append(f"pool region {name}: utilization "
                                 f"{region['utilization']} outside [0, 1]")
-    return failures
-
-
-PROFILE_REGION_FIELDS = (
-    "name", "spans", "seconds", "items", "bytes", "flops", "cycles",
-    "instructions", "cache_refs", "cache_misses", "branch_misses",
-    "items_per_sec", "bytes_per_sec", "flops_per_sec", "ipc")
-
-PROFILE_COUNTER_FIELDS = (
-    "spans", "seconds", "items", "bytes", "flops", "cycles",
-    "instructions", "cache_refs", "cache_misses", "branch_misses",
-    "items_per_sec", "bytes_per_sec", "flops_per_sec", "ipc")
-
-
-def check_report_profile(report):
-    """Validates the optional roofline profile section.
-
-    Unprofiled runs omit the section, which is valid. When present:
-    profile.hw must be "available" or "unavailable", every counter must
-    be non-negative, IPC must be a sane 0 < ipc < 16 whenever cycles
-    were counted, and each derived throughput must equal work / seconds
-    within 1% (the section is self-consistent by construction; drift
-    means a stamping bug).
-    """
-    profile = report.get("profile")
-    if profile is None:
-        return []
-    if not isinstance(profile, dict):
-        return ["report profile section is not an object"]
-    failures = []
-    hw = profile.get("hw")
-    if hw not in ("available", "unavailable"):
-        failures.append(f"profile.hw '{hw}' must be 'available' or "
-                        "'unavailable'")
-    regions = profile.get("regions")
-    if not isinstance(regions, list):
-        return failures + ["profile.regions missing or not an array"]
-    for region in regions:
-        missing = [f for f in PROFILE_REGION_FIELDS if f not in region]
-        if missing:
-            failures.append(f"profile region missing {missing}: {region}")
-            continue
-        name = region["name"]
-        for field in PROFILE_COUNTER_FIELDS:
-            if region[field] < 0:
-                failures.append(f"profile {name}: {field} "
-                                f"{region[field]} is negative")
-        cycles = region["cycles"]
-        if hw == "unavailable" and cycles != 0:
-            failures.append(f"profile {name}: cycles {cycles} nonzero "
-                            "with hw unavailable")
-        if cycles > 0:
-            ipc = region["instructions"] / cycles
-            if not 0.0 < ipc < 16.0:
-                failures.append(f"profile {name}: IPC {ipc:.3f} outside "
-                                "(0, 16)")
-            if abs(region["ipc"] - ipc) > 0.01 * ipc:
-                failures.append(f"profile {name}: stamped ipc "
-                                f"{region['ipc']} != instructions/cycles "
-                                f"{ipc:.6f}")
-        elif region["ipc"] != 0:
-            failures.append(f"profile {name}: ipc {region['ipc']} nonzero "
-                            "with zero cycles")
-        seconds = region["seconds"]
-        for work, rate in (("items", "items_per_sec"),
-                           ("bytes", "bytes_per_sec"),
-                           ("flops", "flops_per_sec")):
-            stamped = region[rate]
-            if seconds > 0:
-                derived = region[work] / seconds
-                if abs(stamped - derived) > 0.01 * max(derived, 1e-12):
-                    failures.append(f"profile {name}: {rate} {stamped} != "
-                                    f"{work}/seconds {derived:.6g} "
-                                    "(within 1%)")
-            elif stamped != 0:
-                failures.append(f"profile {name}: {rate} {stamped} nonzero "
-                                "with zero seconds")
-        if region["cache_misses"] > region["cache_refs"]:
-            failures.append(f"profile {name}: cache_misses "
-                            f"{region['cache_misses']} exceed cache_refs "
-                            f"{region['cache_refs']}")
     return failures
 
 

@@ -4,9 +4,11 @@
 # workload — linear-margin (margin selection), trees5 (forest + QBC),
 # linear-qbc4 (bootstrap committee), rules (DNF rules + LFP/LFN; the run
 # ends by selector exhaustion), supervised-trees5 (random batches, so no
-# example is ever scored), and linear-margin-ensemble (the §5.2 active
-# ensemble; 100 labels, so that it accepts two members and both the
-# acceptance and the residue paths run).
+# example is ever scored), nn-qbc2 (neural network + bootstrap QBC; the
+# only golden workload that trains the NN, so it pins every SGD weight
+# bit), and linear-margin-ensemble (the §5.2 active ensemble; 100 labels,
+# so that it accepts two members and both the acceptance and the residue
+# paths run).
 #
 # Run this after a change that *intentionally* moves a learning curve or a
 # pipeline counter (new featurizer, different seeding, selector fixes) so
@@ -51,7 +53,7 @@ mkdir -p "$baseline_dir"
 # The exact workloads the report_gate test replays: small enough to run in
 # seconds, deterministic at any thread count.
 for approach in linear-margin trees5 linear-qbc4 rules supervised-trees5 \
-    linear-margin-ensemble; do
+    nn-qbc2 linear-margin-ensemble; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   baseline="$baseline_dir/cli_abtbuy_$name.report.json"
   labels=60

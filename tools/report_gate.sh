@@ -12,8 +12,9 @@
 #   2. Cache warmth: rerunning the same workload against the now-warm
 #      cache must produce a bitwise-identical curve, report
 #      config.cache="hit", and count exactly one featurize.cache.hit.
-#   3. Exact replay: fresh runs of all five 60-label golden workloads
-#      (linear-margin, trees5, linear-qbc4, rules, supervised-trees5) must
+#   3. Exact replay: fresh runs of all six 60-label golden workloads
+#      (linear-margin, trees5, linear-qbc4, rules, supervised-trees5,
+#      nn-qbc2) must
 #      replay their committed baselines with the curve bitwise and every
 #      counter exact (--exact-curve --counter-tol=0, including
 #      featurize.cache.*).
@@ -30,7 +31,7 @@
 #      present in both (deterministic structure), p95s within a generous
 #      tolerance — and a perturbed-latency baseline must make
 #      `check --latency-p95-tol=0` FAIL.
-#   7. Kernel backends: scalar-forced reruns of all five 60-label golden
+#   7. Kernel backends: scalar-forced reruns of all six 60-label golden
 #      workloads must replay their committed baselines with the curve
 #      bitwise and every counter exact (stage 3 already replayed them on
 #      the best available backend), and each additional backend reported
@@ -78,6 +79,7 @@ for f in "$cli" "$report_tool" \
     "$baseline_dir/cli_abtbuy_linear_qbc4.report.json" \
     "$baseline_dir/cli_abtbuy_rules.report.json" \
     "$baseline_dir/cli_abtbuy_supervised_trees5.report.json" \
+    "$baseline_dir/cli_abtbuy_nn_qbc2.report.json" \
     "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json"; do
   if [ ! -e "$f" ]; then
     echo "error: missing $f" >&2
@@ -85,8 +87,8 @@ for f in "$cli" "$report_tool" \
   fi
 done
 
-# The five 60-label golden workloads, one baseline each.
-golden="linear-margin trees5 linear-qbc4 rules supervised-trees5"
+# The six 60-label golden workloads, one baseline each.
+golden="linear-margin trees5 linear-qbc4 rules supervised-trees5 nn-qbc2"
 
 # The golden workload: Abt-Buy at scale 0.25, 60 labels. $1 = approach,
 # $2 = threads, $3 = output report, $4... = extra flags (cache policy).
@@ -124,7 +126,7 @@ assert warm["counters"].get("featurize.cache.hit") == 1, warm["counters"]
 assert warm["counters"].get("featurize.cache.miss", 0) == 0, warm["counters"]
 EOF
 
-echo "[3/11] exact replay: five golden workloads, curve and counters exact"
+echo "[3/11] exact replay: six golden workloads, curve and counters exact"
 for approach in $golden; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   candidate="$work/cand_$name.report.json"
@@ -223,7 +225,7 @@ fi
 echo "perturbed latency baseline rejected as expected"
 
 echo "[7/11] kernel backends: scalar golden replay, per-backend equivalence"
-# Scalar-forced cold runs must replay all five committed 60-label
+# Scalar-forced cold runs must replay all six committed 60-label
 # baselines bitwise, every counter exact — pins the scalar reference path
 # end to end.
 for approach in $golden; do

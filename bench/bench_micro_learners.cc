@@ -4,6 +4,8 @@
 // The *PoolBatch cases drive the batch inference engine (Learner::
 // PredictBatch / ProbaBatch / MarginBatch fanned out under ml.batch) against
 // the scalar per-row loops right above them; the Arg is the thread count.
+// They are timed in wall-clock time (UseRealTime): the pool workers do the
+// work, so the calling thread's CPU time would overstate their rates.
 // Emit a comparable artifact with:
 //   bench_micro_learners --benchmark_out=BENCH_micro_learners.json
 //       --benchmark_out_format=json
@@ -98,6 +100,7 @@ void BM_NeuralNetFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NeuralNetFit)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 
@@ -167,6 +170,7 @@ BENCHMARK(BM_NeuralNetFitWarmVsCold)
     ->Args({300, 0})
     ->Args({300, 1})
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 
@@ -280,6 +284,7 @@ void BM_SvmMarginPoolBatch(benchmark::State& state) {
                           static_cast<int64_t>(rows.size()));
 }
 BENCHMARK(BM_SvmMarginPoolBatch)->Arg(1)->Arg(4)
+    ->UseRealTime()
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 
@@ -319,6 +324,7 @@ void BM_NeuralNetProbaPoolBatch(benchmark::State& state) {
                           static_cast<int64_t>(rows.size()));
 }
 BENCHMARK(BM_NeuralNetProbaPoolBatch)->Arg(1)->Arg(4)
+    ->UseRealTime()
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 
@@ -341,6 +347,7 @@ void BM_ForestPredictPoolBatch(benchmark::State& state) {
                           static_cast<int64_t>(rows.size()));
 }
 BENCHMARK(BM_ForestPredictPoolBatch)->Arg(1)->Arg(4)
+    ->UseRealTime()
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 

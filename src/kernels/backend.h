@@ -15,9 +15,10 @@
 //     per output value it performs the same arithmetic operations in the
 //     same order and rounding as the scalar reference, so results are
 //     bitwise-identical. The AVX2 kernels vectorize across independent
-//     outputs (rows, units, candidate positions), never across a single
-//     floating-point accumulation, and their translation units are built
-//     with -ffp-contract=off so no FMA contraction can change rounding.
+//     outputs (rows, input positions, candidate positions), never across
+//     a single floating-point accumulation, and their translation units are
+//     built with -ffp-contract=off so no FMA contraction can change
+//     rounding.
 //   * A future backend MAY register a reassociating kernel (e.g. an
 //     FMA-tiled GEMV); such kernels are ULP-BOUNDED instead of bitwise and
 //     must document their tolerance in docs/kernels.md. The differential
@@ -50,15 +51,17 @@ namespace kernels {
 // at most this many rows to svm_margin_block).
 inline constexpr size_t kSvmMarginBlock = 8;
 
+// Row-block width of the NN forward kernels (ml/neural_net.cc feeds blocks
+// of at most this many examples to nn_forward_*, in training and inference).
+inline constexpr size_t kNnRowBlock = 8;
+
 // Longest input string the alignment-score kernels accept (the sim layer's
 // kMaxAlignmentLength cap). Scaled scores stay within +-4 * 2 * 64, far
 // inside int16, which is what lets the AVX2 kernels use 16-bit lanes.
 inline constexpr size_t kMaxDpLength = 64;
 
 // Dispatch table: one function pointer per hot inner loop. All pointers are
-// always non-null; nn_wants_transpose tells the NN batch path whether to
-// hand the kernels a [in x out] transposed copy of each layer's weights
-// (built once per MarginBatch call) alongside the row-major original.
+// always non-null.
 struct KernelOps {
   const char* name;
 
@@ -94,21 +97,32 @@ struct KernelOps {
   void (*svm_margin_block)(const double* w, size_t d, double bias,
                            const float* const* x, size_t nrows, double* out);
 
-  // When true, NeuralNetwork::MarginBatch builds a [in x out] transposed
-  // weight copy per layer per call and passes it as `wt` below (the AVX2
-  // kernels vectorize across units, which needs unit-contiguous weights);
-  // when false `wt` may be null.
-  bool nn_wants_transpose;
+  // NN dense-layer affine over a block of nrows <= kNnRowBlock examples:
+  // z[r*out + o] = bias[o] + sum_j w[o*in + j] * x[r][j], each z accumulated
+  // from bias in ascending j with one multiply and one add per term — the
+  // scalar Margin order, so results are bitwise-identical across backends.
+  // `xt` is caller scratch of in * kNnRowBlock doubles (the SIMD backends
+  // transpose the input block into it). The f32 variant reads layer-0
+  // feature rows, the f64 variant hidden activations.
+  void (*nn_forward_f32)(const double* w, const double* bias, size_t in,
+                         size_t out, const float* const* x, size_t nrows,
+                         double* xt, double* z);
+  void (*nn_forward_f64)(const double* w, const double* bias, size_t in,
+                         size_t out, const double* const* x, size_t nrows,
+                         double* xt, double* z);
 
-  // NN hidden-layer affine for one example: z[o] = bias[o] +
-  // sum_j w[o*in + j] * x[j] for o < out, each z[o] accumulated in
-  // ascending j (bitwise-identical to the scalar forward pass). The f32
-  // variant reads the input row as floats (layer 0), the f64 variant as
-  // doubles (hidden activations).
-  void (*nn_affine_f32)(const double* w, const double* wt, const double* bias,
-                        size_t in, size_t out, const float* x, double* z);
-  void (*nn_affine_f64)(const double* w, const double* wt, const double* bias,
-                        size_t in, size_t out, const double* x, double* z);
+  // NN dense-layer backward over nrows examples (any count) with output
+  // gradients g[r*out + o]:
+  //   dw[o*in + j] = 0.0 + sum_r g[r*out + o] * x[r][j]   (ascending r)
+  //   dx[r*in + j] = 0.0 + sum_o g[r*out + o] * w[o*in + j] (ascending o)
+  // Both are overwritten; every (r, o) with g == 0.0 is skipped, as in the
+  // scalar SGD loop. dx may be null (layer 0 has no input gradient).
+  void (*nn_backward_f32)(const double* w, const double* g, size_t in,
+                          size_t out, const float* const* x, size_t nrows,
+                          double* dw, double* dx);
+  void (*nn_backward_f64)(const double* w, const double* g, size_t in,
+                          size_t out, const double* const* x, size_t nrows,
+                          double* dw, double* dx);
 };
 
 enum class Backend : int {

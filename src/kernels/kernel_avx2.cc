@@ -5,9 +5,9 @@
 // Every kernel below is REORDER-FREE with respect to the scalar reference
 // (kernel_scalar.cc): the integer kernels compute the same exact values,
 // and the floating-point kernels vectorize across independent accumulators
-// (rows for the SVM GEMV, units for the NN affine) so each accumulator
-// still sees its terms in ascending j with one rounded multiply and one
-// rounded add per term. The TU is additionally built with -ffp-contract=off
+// (rows for the SVM GEMV and the NN forward pass, input positions for the
+// NN backward pass) so each accumulator still sees its terms in the scalar
+// order with one rounded multiply and one rounded add per term. The TU is additionally built with -ffp-contract=off
 // (and WITHOUT -mfma) so the compiler cannot fuse that multiply-add pair
 // into a single differently-rounded FMA. Net effect: bitwise-identical
 // outputs, verified by tests/kernel_backend_test.cc and the per-backend
@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "kernels/kernels_internal.h"
 
@@ -295,33 +296,207 @@ void SvmMarginBlockAvx2(const double* w, size_t d, double bias,
   for (size_t r = 0; r < 8; ++r) out[r] = acc[r];
 }
 
-// ---- nn_affine ---------------------------------------------------------
+// ---- nn_forward / nn_backward ------------------------------------------
 //
-// Vectorized across UNITS: with the [in x out] transposed weights (wt),
-// four units' accumulators ride one __m256d, each fed x[j] * wt[j][o] in
-// ascending j. Per unit the operation sequence matches the scalar
-// row-major loop exactly. The unit tail (out % 4) runs scalar off the
-// row-major weights.
+// Forward: vectorized across the 8 ROWS of a block. The input block is
+// transposed once into xt (xt[j*8 + r] = x[r][j], floats widened exactly
+// to double), then four units at a time broadcast w[o][j] against the two
+// 4-row halves of column j: 8 independent accumulators, each starting at
+// bias[o] and fed one rounded multiply and one rounded add per j in
+// ascending order — the scalar kernel's sequence per (row, unit). Partial
+// blocks and the unit tail (out % 4) stay exact the same way.
+//
+// Backward: vectorized across INPUT positions j, which are independent in
+// both gradients. Per unit, the rows with a nonzero gradient are taken in
+// ascending order (groups of 8), and each j lane adds g * x[r][j] into
+// dw[o][j] and g * w[o][j] into dx[r][j] — the scalar order per element.
+
+inline __m256d Load4(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+inline __m256d Load4(const double* p) { return _mm256_loadu_pd(p); }
+
+// xt[j*8 + r] = x[r][j] for the 8 rows of a full block.
+void TransposeBlock(const float* const* x, size_t in, double* xt) {
+  __m256 rows[8];
+  __m256 cols[8];
+  size_t j = 0;
+  for (; j + 8 <= in; j += 8) {
+    for (size_t r = 0; r < 8; ++r) rows[r] = _mm256_loadu_ps(x[r] + j);
+    Transpose8x8(rows, cols);
+    for (size_t k = 0; k < 8; ++k) {
+      double* dst = xt + (j + k) * 8;
+      _mm256_storeu_pd(dst, _mm256_cvtps_pd(_mm256_castps256_ps128(cols[k])));
+      _mm256_storeu_pd(dst + 4,
+                       _mm256_cvtps_pd(_mm256_extractf128_ps(cols[k], 1)));
+    }
+  }
+  for (; j < in; ++j) {
+    for (size_t r = 0; r < 8; ++r) xt[j * 8 + r] = x[r][j];
+  }
+}
+
+void TransposeBlock(const double* const* x, size_t in, double* xt) {
+  size_t j = 0;
+  for (; j + 4 <= in; j += 4) {
+    for (size_t half = 0; half < 2; ++half) {
+      const double* const* xr = x + half * 4;
+      const __m256d r0 = _mm256_loadu_pd(xr[0] + j);
+      const __m256d r1 = _mm256_loadu_pd(xr[1] + j);
+      const __m256d r2 = _mm256_loadu_pd(xr[2] + j);
+      const __m256d r3 = _mm256_loadu_pd(xr[3] + j);
+      const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
+      const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
+      const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+      const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+      double* dst = xt + j * 8 + half * 4;
+      _mm256_storeu_pd(dst, _mm256_permute2f128_pd(t0, t2, 0x20));
+      _mm256_storeu_pd(dst + 8, _mm256_permute2f128_pd(t1, t3, 0x20));
+      _mm256_storeu_pd(dst + 16, _mm256_permute2f128_pd(t0, t2, 0x31));
+      _mm256_storeu_pd(dst + 24, _mm256_permute2f128_pd(t1, t3, 0x31));
+    }
+  }
+  for (; j < in; ++j) {
+    for (size_t r = 0; r < 8; ++r) xt[j * 8 + r] = x[r][j];
+  }
+}
 
 template <typename In>
-void NnAffineAvx2(const double* w, const double* wt, const double* bias,
-                  size_t in, size_t out, const In* x, double* z) {
+void NnForwardAvx2(const double* w, const double* bias, size_t in,
+                   size_t out, const In* const* x, size_t nrows, double* xt,
+                   double* z) {
+  static_assert(kNnRowBlock == 8, "AVX2 NN kernel is shaped for 8-row blocks");
+  if (nrows != 8) {
+    if constexpr (std::is_same_v<In, float>) {
+      kScalarOps.nn_forward_f32(w, bias, in, out, x, nrows, xt, z);
+    } else {
+      kScalarOps.nn_forward_f64(w, bias, in, out, x, nrows, xt, z);
+    }
+    return;
+  }
+  TransposeBlock(x, in, xt);
+  double acc[4][8];
   size_t o = 0;
   for (; o + 4 <= out; o += 4) {
-    __m256d acc = _mm256_loadu_pd(bias + o);
-    const double* col = wt + o;
+    const double* w0 = w + o * in;
+    const double* w1 = w0 + in;
+    const double* w2 = w1 + in;
+    const double* w3 = w2 + in;
+    __m256d a0l = _mm256_set1_pd(bias[o]), a0h = a0l;
+    __m256d a1l = _mm256_set1_pd(bias[o + 1]), a1h = a1l;
+    __m256d a2l = _mm256_set1_pd(bias[o + 2]), a2h = a2l;
+    __m256d a3l = _mm256_set1_pd(bias[o + 3]), a3h = a3l;
     for (size_t j = 0; j < in; ++j) {
-      const __m256d xj = _mm256_set1_pd(static_cast<double>(x[j]));
-      acc = _mm256_add_pd(acc,
-                          _mm256_mul_pd(xj, _mm256_loadu_pd(col + j * out)));
+      const __m256d xl = _mm256_loadu_pd(xt + j * 8);
+      const __m256d xh = _mm256_loadu_pd(xt + j * 8 + 4);
+      const __m256d b0 = _mm256_set1_pd(w0[j]);
+      const __m256d b1 = _mm256_set1_pd(w1[j]);
+      const __m256d b2 = _mm256_set1_pd(w2[j]);
+      const __m256d b3 = _mm256_set1_pd(w3[j]);
+      a0l = _mm256_add_pd(a0l, _mm256_mul_pd(b0, xl));
+      a0h = _mm256_add_pd(a0h, _mm256_mul_pd(b0, xh));
+      a1l = _mm256_add_pd(a1l, _mm256_mul_pd(b1, xl));
+      a1h = _mm256_add_pd(a1h, _mm256_mul_pd(b1, xh));
+      a2l = _mm256_add_pd(a2l, _mm256_mul_pd(b2, xl));
+      a2h = _mm256_add_pd(a2h, _mm256_mul_pd(b2, xh));
+      a3l = _mm256_add_pd(a3l, _mm256_mul_pd(b3, xl));
+      a3h = _mm256_add_pd(a3h, _mm256_mul_pd(b3, xh));
     }
-    _mm256_storeu_pd(z + o, acc);
+    _mm256_storeu_pd(acc[0], a0l);
+    _mm256_storeu_pd(acc[0] + 4, a0h);
+    _mm256_storeu_pd(acc[1], a1l);
+    _mm256_storeu_pd(acc[1] + 4, a1h);
+    _mm256_storeu_pd(acc[2], a2l);
+    _mm256_storeu_pd(acc[2] + 4, a2h);
+    _mm256_storeu_pd(acc[3], a3l);
+    _mm256_storeu_pd(acc[3] + 4, a3h);
+    for (size_t r = 0; r < 8; ++r) {
+      for (size_t u = 0; u < 4; ++u) z[r * out + o + u] = acc[u][r];
+    }
   }
   for (; o < out; ++o) {
     const double* wo = w + o * in;
-    double acc = bias[o];
-    for (size_t j = 0; j < in; ++j) acc += wo[j] * x[j];
-    z[o] = acc;
+    __m256d al = _mm256_set1_pd(bias[o]), ah = al;
+    for (size_t j = 0; j < in; ++j) {
+      const __m256d b = _mm256_set1_pd(wo[j]);
+      al = _mm256_add_pd(al, _mm256_mul_pd(b, _mm256_loadu_pd(xt + j * 8)));
+      ah = _mm256_add_pd(ah,
+                         _mm256_mul_pd(b, _mm256_loadu_pd(xt + j * 8 + 4)));
+    }
+    _mm256_storeu_pd(acc[0], al);
+    _mm256_storeu_pd(acc[0] + 4, ah);
+    for (size_t r = 0; r < 8; ++r) z[r * out + o] = acc[0][r];
+  }
+}
+
+template <typename In>
+void NnBackwardAvx2(const double* w, const double* g, size_t in, size_t out,
+                    const In* const* x, size_t nrows, double* dw,
+                    double* dx) {
+  if (dx != nullptr) std::fill(dx, dx + nrows * in, 0.0);
+  size_t active[8];
+  __m256d gains[8];
+  for (size_t o = 0; o < out; ++o) {
+    const double* wo = w + o * in;
+    double* dwo = dw + o * in;
+    std::fill(dwo, dwo + in, 0.0);
+    for (size_t base = 0; base < nrows; base += 8) {
+      const size_t end = std::min(nrows, base + 8);
+      size_t na = 0;
+      for (size_t r = base; r < end; ++r) {
+        const double gr = g[r * out + o];
+        if (gr == 0.0) continue;
+        active[na] = r;
+        gains[na++] = _mm256_set1_pd(gr);
+      }
+      if (na == 0) continue;
+      size_t j = 0;
+      for (; j + 16 <= in; j += 16) {
+        __m256d a0 = _mm256_loadu_pd(dwo + j);
+        __m256d a1 = _mm256_loadu_pd(dwo + j + 4);
+        __m256d a2 = _mm256_loadu_pd(dwo + j + 8);
+        __m256d a3 = _mm256_loadu_pd(dwo + j + 12);
+        for (size_t a = 0; a < na; ++a) {
+          const In* xr = x[active[a]] + j;
+          a0 = _mm256_add_pd(a0, _mm256_mul_pd(gains[a], Load4(xr)));
+          a1 = _mm256_add_pd(a1, _mm256_mul_pd(gains[a], Load4(xr + 4)));
+          a2 = _mm256_add_pd(a2, _mm256_mul_pd(gains[a], Load4(xr + 8)));
+          a3 = _mm256_add_pd(a3, _mm256_mul_pd(gains[a], Load4(xr + 12)));
+        }
+        _mm256_storeu_pd(dwo + j, a0);
+        _mm256_storeu_pd(dwo + j + 4, a1);
+        _mm256_storeu_pd(dwo + j + 8, a2);
+        _mm256_storeu_pd(dwo + j + 12, a3);
+      }
+      for (; j + 4 <= in; j += 4) {
+        __m256d a0 = _mm256_loadu_pd(dwo + j);
+        for (size_t a = 0; a < na; ++a) {
+          a0 = _mm256_add_pd(
+              a0, _mm256_mul_pd(gains[a], Load4(x[active[a]] + j)));
+        }
+        _mm256_storeu_pd(dwo + j, a0);
+      }
+      for (; j < in; ++j) {
+        double acc = dwo[j];
+        for (size_t a = 0; a < na; ++a) {
+          acc += _mm256_cvtsd_f64(gains[a]) * x[active[a]][j];
+        }
+        dwo[j] = acc;
+      }
+      if (dx == nullptr) continue;
+      for (size_t a = 0; a < na; ++a) {
+        double* dxr = dx + active[a] * in;
+        size_t k = 0;
+        for (; k + 4 <= in; k += 4) {
+          _mm256_storeu_pd(
+              dxr + k,
+              _mm256_add_pd(_mm256_loadu_pd(dxr + k),
+                            _mm256_mul_pd(gains[a], _mm256_loadu_pd(wo + k))));
+        }
+        const double gr = _mm256_cvtsd_f64(gains[a]);
+        for (; k < in; ++k) dxr[k] += gr * wo[k];
+      }
+    }
   }
 }
 
@@ -334,9 +509,10 @@ const KernelOps kAvx2Ops = {
     /*sw_score_x4=*/SwScoreX4Avx2,
     /*swg_score_x4=*/SwgScoreX4Avx2,
     /*svm_margin_block=*/SvmMarginBlockAvx2,
-    /*nn_wants_transpose=*/true,
-    /*nn_affine_f32=*/NnAffineAvx2<float>,
-    /*nn_affine_f64=*/NnAffineAvx2<double>,
+    /*nn_forward_f32=*/NnForwardAvx2<float>,
+    /*nn_forward_f64=*/NnForwardAvx2<double>,
+    /*nn_backward_f32=*/NnBackwardAvx2<float>,
+    /*nn_backward_f64=*/NnBackwardAvx2<double>,
 };
 
 }  // namespace internal

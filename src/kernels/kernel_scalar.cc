@@ -114,13 +114,42 @@ void SvmMarginBlockScalar(const double* w, size_t d, double bias,
 }
 
 template <typename In>
-void NnAffineScalar(const double* w, const double* /*wt*/, const double* bias,
-                    size_t in, size_t out, const In* x, double* z) {
+void NnForwardScalar(const double* w, const double* bias, size_t in,
+                     size_t out, const In* const* x, size_t nrows,
+                     double* /*xt*/, double* z) {
+  // Register-blocked like the SVM GEMV: one pass over each unit's weights
+  // feeds every row's accumulator, and each accumulator still sees bias,
+  // then w[j] * x[j] in ascending j.
+  double acc[kNnRowBlock];
   for (size_t o = 0; o < out; ++o) {
     const double* wo = w + o * in;
-    double acc = bias[o];
-    for (size_t j = 0; j < in; ++j) acc += wo[j] * x[j];
-    z[o] = acc;
+    for (size_t r = 0; r < nrows; ++r) acc[r] = bias[o];
+    for (size_t j = 0; j < in; ++j) {
+      const double wj = wo[j];
+      for (size_t r = 0; r < nrows; ++r) acc[r] += wj * x[r][j];
+    }
+    for (size_t r = 0; r < nrows; ++r) z[r * out + o] = acc[r];
+  }
+}
+
+template <typename In>
+void NnBackwardScalar(const double* w, const double* g, size_t in,
+                      size_t out, const In* const* x, size_t nrows,
+                      double* dw, double* dx) {
+  if (dx != nullptr) std::fill(dx, dx + nrows * in, 0.0);
+  for (size_t o = 0; o < out; ++o) {
+    const double* wo = w + o * in;
+    double* dwo = dw + o * in;
+    std::fill(dwo, dwo + in, 0.0);
+    for (size_t r = 0; r < nrows; ++r) {
+      const double gr = g[r * out + o];
+      if (gr == 0.0) continue;
+      const In* xr = x[r];
+      for (size_t j = 0; j < in; ++j) dwo[j] += gr * xr[j];
+      if (dx == nullptr) continue;
+      double* dxr = dx + r * in;
+      for (size_t j = 0; j < in; ++j) dxr[j] += gr * wo[j];
+    }
   }
 }
 
@@ -133,9 +162,10 @@ const KernelOps kScalarOps = {
     /*sw_score_x4=*/SwScoreX4Scalar,
     /*swg_score_x4=*/SwgScoreX4Scalar,
     /*svm_margin_block=*/SvmMarginBlockScalar,
-    /*nn_wants_transpose=*/false,
-    /*nn_affine_f32=*/NnAffineScalar<float>,
-    /*nn_affine_f64=*/NnAffineScalar<double>,
+    /*nn_forward_f32=*/NnForwardScalar<float>,
+    /*nn_forward_f64=*/NnForwardScalar<double>,
+    /*nn_backward_f32=*/NnBackwardScalar<float>,
+    /*nn_backward_f64=*/NnBackwardScalar<double>,
 };
 
 }  // namespace internal

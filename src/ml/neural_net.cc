@@ -126,32 +126,63 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
   const size_t batch_size =
       std::max<size_t>(1, static_cast<size_t>(config_.batch_size));
   const size_t num_layers = layers_.size();
+  const size_t last = static_cast<size_t>(layers_.back().out);
+  const double inv_keep = 1.0 / std::max(1e-9, 1.0 - config_.dropout);
+  const kernels::KernelOps& ops = kernels::Active();
 
-  // Per-layer forward/backward scratch, sized for one mini-batch.
+  // Per-layer forward/backward scratch, sized once for the largest
+  // mini-batch: the SGD loop below allocates nothing.
   struct LayerScratch {
-    std::vector<double> pre;     // Affine output z.
-    std::vector<double> relu;    // ReLU(z) = r.
-    std::vector<double> rhat;    // Normalized r.
-    std::vector<double> post;    // Layer output (after BN + dropout).
-    std::vector<double> mean, var;
+    std::vector<double> pre;   // Affine output z.
+    std::vector<double> rhat;  // Normalized ReLU(z) (batch norm only).
+    std::vector<double> post;  // Layer output (after BN + dropout).
+    std::vector<const double*> post_rows;  // Row pointers into post.
+    std::vector<double> inv_std;           // Batch 1 / sqrt(var + eps).
     std::vector<char> drop_mask;
     std::vector<double> d_post;  // Gradient wrt layer output.
     std::vector<double> d_pre;   // Gradient wrt z.
+    std::vector<double> d_weights, d_bias, d_gamma, d_beta;
   };
   std::vector<LayerScratch> scratch(num_layers);
+  size_t max_in = 0;
+  for (size_t l = 0; l < num_layers; ++l) {
+    const size_t out = static_cast<size_t>(layers_[l].out);
+    const size_t in = static_cast<size_t>(layers_[l].in);
+    max_in = std::max(max_in, in);
+    LayerScratch& s = scratch[l];
+    s.pre.resize(batch_size * out);
+    s.rhat.resize(batch_size * out);
+    s.post.resize(batch_size * out);
+    s.post_rows.resize(batch_size);
+    for (size_t i = 0; i < batch_size; ++i) {
+      s.post_rows[i] = s.post.data() + i * out;
+    }
+    s.inv_std.resize(out);
+    s.drop_mask.resize(batch_size * out);
+    s.d_post.resize(batch_size * out);
+    s.d_pre.resize(batch_size * out);
+    s.d_weights.resize(out * in);
+    s.d_bias.resize(out);
+    s.d_gamma.resize(out);
+    s.d_beta.resize(out);
+  }
+  max_in = std::max(max_in, last);
+  std::vector<double> xt(max_in * kernels::kNnRowBlock);
+  std::vector<const float*> batch_rows(batch_size);
+  std::vector<double> batch_weight(batch_size);
+  std::vector<double> batch_label(batch_size);
+  std::vector<double> margin(batch_size);
+  std::vector<double> d_margin(batch_size);
+  std::vector<double> d_out_weights(last);
 
   double learning_rate = initial_learning_rate;
   for (int epoch = 0; epoch < epochs; ++epoch) {
     rng.Shuffle(order);
     for (size_t start = 0; start < n; start += batch_size) {
       const size_t b = std::min(batch_size, n - start);
+      const bool batch_norm = config_.use_batch_norm && b > 1;
 
       // ---- Forward pass ----
-      // a0: the mini-batch inputs, row-major [b x input_dims].
-      const double inv_keep = 1.0 / std::max(1e-9, 1.0 - config_.dropout);
-      std::vector<const float*> batch_rows(b);
-      std::vector<double> batch_weight(b);
-      std::vector<double> batch_label(b);
       for (size_t i = 0; i < b; ++i) {
         const size_t row = order[start + i];
         batch_rows[i] = features.Row(row);
@@ -159,92 +190,79 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
         batch_weight[i] = labels[row] == 1 ? positive_weight : 1.0;
       }
 
-      const std::vector<double>* previous_activation = nullptr;
-      std::vector<double> input_activation;  // Materialized a0 when needed.
       for (size_t l = 0; l < num_layers; ++l) {
         Layer& layer = layers_[l];
         LayerScratch& s = scratch[l];
         const size_t out = static_cast<size_t>(layer.out);
         const size_t in = static_cast<size_t>(layer.in);
-        s.pre.assign(b * out, 0.0);
-        // Affine.
-        for (size_t i = 0; i < b; ++i) {
-          for (size_t o = 0; o < out; ++o) {
-            const double* w = layer.weights.data() + o * in;
-            double z = layer.bias[o];
-            if (l == 0) {
-              const float* x = batch_rows[i];
-              for (size_t j = 0; j < in; ++j) z += w[j] * x[j];
-            } else {
-              const double* x = previous_activation->data() + i * in;
-              for (size_t j = 0; j < in; ++j) z += w[j] * x[j];
-            }
-            s.pre[i * out + o] = z;
+        // Affine, one kernel call per block of rows: every z starts at the
+        // bias and adds w[j] * x[j] in ascending j.
+        for (size_t r0 = 0; r0 < b; r0 += kernels::kNnRowBlock) {
+          const size_t rows = std::min(kernels::kNnRowBlock, b - r0);
+          double* z = s.pre.data() + r0 * out;
+          if (l == 0) {
+            ops.nn_forward_f32(layer.weights.data(), layer.bias.data(), in,
+                               out, batch_rows.data() + r0, rows, xt.data(),
+                               z);
+          } else {
+            ops.nn_forward_f64(layer.weights.data(), layer.bias.data(), in,
+                               out, scratch[l - 1].post_rows.data() + r0,
+                               rows, xt.data(), z);
           }
         }
         // ReLU.
-        s.relu = s.pre;
-        for (double& v : s.relu) v = std::max(0.0, v);
-        // Batch norm (training statistics).
-        s.mean.assign(out, 0.0);
-        s.var.assign(out, 0.0);
-        s.rhat.assign(b * out, 0.0);
-        s.post.assign(b * out, 0.0);
-        if (config_.use_batch_norm && b > 1) {
+        for (size_t idx = 0; idx < b * out; ++idx) {
+          s.post[idx] = std::max(0.0, s.pre[idx]);
+        }
+        // Batch norm (training statistics), in place over the ReLU output.
+        if (batch_norm) {
           for (size_t o = 0; o < out; ++o) {
             double mean = 0.0;
-            for (size_t i = 0; i < b; ++i) mean += s.relu[i * out + o];
+            for (size_t i = 0; i < b; ++i) mean += s.post[i * out + o];
             mean /= static_cast<double>(b);
             double var = 0.0;
             for (size_t i = 0; i < b; ++i) {
-              const double d = s.relu[i * out + o] - mean;
+              const double d = s.post[i * out + o] - mean;
               var += d * d;
             }
             var /= static_cast<double>(b);
-            s.mean[o] = mean;
-            s.var[o] = var;
             layer.running_mean[o] = kBnMomentum * layer.running_mean[o] +
                                     (1.0 - kBnMomentum) * mean;
             layer.running_var[o] = kBnMomentum * layer.running_var[o] +
                                    (1.0 - kBnMomentum) * var;
             const double inv_std = 1.0 / std::sqrt(var + kBnEpsilon);
+            s.inv_std[o] = inv_std;
             for (size_t i = 0; i < b; ++i) {
-              const double rhat = (s.relu[i * out + o] - mean) * inv_std;
+              const double rhat = (s.post[i * out + o] - mean) * inv_std;
               s.rhat[i * out + o] = rhat;
               s.post[i * out + o] = layer.gamma[o] * rhat + layer.beta[o];
             }
           }
-        } else {
-          s.rhat = s.relu;
-          s.post = s.relu;
         }
         // Dropout (inverted scaling).
-        s.drop_mask.assign(b * out, 1);
         if (config_.dropout > 0.0) {
           for (size_t idx = 0; idx < b * out; ++idx) {
             if (rng.NextBernoulli(config_.dropout)) {
               s.drop_mask[idx] = 0;
               s.post[idx] = 0.0;
             } else {
+              s.drop_mask[idx] = 1;
               s.post[idx] *= inv_keep;
             }
           }
         }
-        previous_activation = &s.post;
-        (void)input_activation;
       }
 
-      // Output layer.
-      const size_t last = static_cast<size_t>(layers_.back().out);
-      const std::vector<double>& final_activation = scratch.back().post;
-      std::vector<double> margin(b, 0.0);
-      std::vector<double> d_margin(b, 0.0);
+      // Output layer: a one-unit affine through the same kernel.
+      LayerScratch& top = scratch.back();
+      for (size_t r0 = 0; r0 < b; r0 += kernels::kNnRowBlock) {
+        ops.nn_forward_f64(out_weights_.data(), &out_bias_, last, 1,
+                           top.post_rows.data() + r0,
+                           std::min(kernels::kNnRowBlock, b - r0), xt.data(),
+                           margin.data() + r0);
+      }
       for (size_t i = 0; i < b; ++i) {
-        double z = out_bias_;
-        const double* a = final_activation.data() + i * last;
-        for (size_t j = 0; j < last; ++j) z += out_weights_[j] * a[j];
-        margin[i] = z;
-        const double p = Sigmoid(z);
+        const double p = Sigmoid(margin[i]);
         // d/dz of weighted L2 loss (p - y)^2 averaged over the batch.
         d_margin[i] = batch_weight[i] * 2.0 * (p - batch_label[i]) * p *
                       (1.0 - p) / static_cast<double>(b);
@@ -252,13 +270,12 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
 
       // ---- Backward pass ----
       // Output affine.
-      std::vector<double> d_out_weights(last, 0.0);
+      std::fill(d_out_weights.begin(), d_out_weights.end(), 0.0);
       double d_out_bias = 0.0;
-      LayerScratch& top = scratch.back();
-      top.d_post.assign(b * last, 0.0);
+      std::fill(top.d_post.begin(), top.d_post.begin() + b * last, 0.0);
       for (size_t i = 0; i < b; ++i) {
         const double g = d_margin[i];
-        const double* a = final_activation.data() + i * last;
+        const double* a = top.post_rows[i];
         for (size_t j = 0; j < last; ++j) {
           d_out_weights[j] += g * a[j];
           top.d_post[i * last + j] += g * out_weights_[j];
@@ -280,66 +297,52 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
           }
         }
 
-        // Batch-norm backward.
-        std::vector<double> d_relu(b * out, 0.0);
-        std::vector<double> d_gamma(out, 0.0);
-        std::vector<double> d_beta(out, 0.0);
-        if (config_.use_batch_norm && b > 1) {
+        // Batch-norm and ReLU backward.
+        if (batch_norm) {
+          const double inv_b = 1.0 / static_cast<double>(b);
           for (size_t o = 0; o < out; ++o) {
-            const double inv_std = 1.0 / std::sqrt(s.var[o] + kBnEpsilon);
+            const double inv_std = s.inv_std[o];
             double sum_dy = 0.0, sum_dy_rhat = 0.0;
             for (size_t i = 0; i < b; ++i) {
               const double dy = s.d_post[i * out + o];
               sum_dy += dy;
               sum_dy_rhat += dy * s.rhat[i * out + o];
-              d_gamma[o] += dy * s.rhat[i * out + o];
-              d_beta[o] += dy;
             }
-            const double inv_b = 1.0 / static_cast<double>(b);
+            s.d_gamma[o] = sum_dy_rhat;
+            s.d_beta[o] = sum_dy;
             for (size_t i = 0; i < b; ++i) {
-              const double dy = s.d_post[i * out + o];
-              d_relu[i * out + o] =
+              const size_t idx = i * out + o;
+              const double dy = s.d_post[idx];
+              const double d_relu =
                   layer.gamma[o] * inv_std *
-                  (dy - sum_dy * inv_b - s.rhat[i * out + o] * sum_dy_rhat *
-                                             inv_b);
+                  (dy - sum_dy * inv_b - s.rhat[idx] * sum_dy_rhat * inv_b);
+              s.d_pre[idx] = s.pre[idx] > 0.0 ? d_relu : 0.0;
             }
           }
         } else {
-          d_relu = s.d_post;
-        }
-
-        // ReLU backward.
-        s.d_pre.assign(b * out, 0.0);
-        for (size_t idx = 0; idx < b * out; ++idx) {
-          s.d_pre[idx] = s.pre[idx] > 0.0 ? d_relu[idx] : 0.0;
-        }
-
-        // Affine backward.
-        std::vector<double> d_weights(out * in, 0.0);
-        std::vector<double> d_bias(out, 0.0);
-        if (l > 0) {
-          scratch[l - 1].d_post.assign(
-              b * static_cast<size_t>(layers_[l - 1].out), 0.0);
-        }
-        for (size_t i = 0; i < b; ++i) {
-          for (size_t o = 0; o < out; ++o) {
-            const double g = s.d_pre[i * out + o];
-            if (g == 0.0) continue;
-            double* dw = d_weights.data() + o * in;
-            if (l == 0) {
-              const float* x = batch_rows[i];
-              for (size_t j = 0; j < in; ++j) dw[j] += g * x[j];
-            } else {
-              const double* x = scratch[l - 1].post.data() + i * in;
-              double* dx = scratch[l - 1].d_post.data() + i * in;
-              const double* w = layer.weights.data() + o * in;
-              for (size_t j = 0; j < in; ++j) {
-                dw[j] += g * x[j];
-                dx[j] += g * w[j];
-              }
-            }
-            d_bias[o] += g;
+          for (size_t idx = 0; idx < b * out; ++idx) {
+            s.d_pre[idx] = s.pre[idx] > 0.0 ? s.d_post[idx] : 0.0;
           }
+        }
+
+        // Affine backward: weight gradients, and the previous layer's
+        // output gradient (written into its d_post).
+        if (l == 0) {
+          ops.nn_backward_f32(layer.weights.data(), s.d_pre.data(), in, out,
+                              batch_rows.data(), b, s.d_weights.data(),
+                              nullptr);
+        } else {
+          ops.nn_backward_f64(layer.weights.data(), s.d_pre.data(), in, out,
+                              scratch[l - 1].post_rows.data(), b,
+                              s.d_weights.data(), scratch[l - 1].d_post.data());
+        }
+        for (size_t o = 0; o < out; ++o) {
+          double d_bias = 0.0;
+          for (size_t i = 0; i < b; ++i) {
+            const double g = s.d_pre[i * out + o];
+            if (g != 0.0) d_bias += g;
+          }
+          s.d_bias[o] = d_bias;
         }
 
         // SGD with momentum.
@@ -352,11 +355,11 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
             param[idx] += velocity[idx];
           }
         };
-        update(layer.weights, layer.v_weights, d_weights);
-        update(layer.bias, layer.v_bias, d_bias);
-        if (config_.use_batch_norm && b > 1) {
-          update(layer.gamma, layer.v_gamma, d_gamma);
-          update(layer.beta, layer.v_beta, d_beta);
+        update(layer.weights, layer.v_weights, s.d_weights);
+        update(layer.bias, layer.v_bias, s.d_bias);
+        if (batch_norm) {
+          update(layer.gamma, layer.v_gamma, s.d_gamma);
+          update(layer.beta, layer.v_beta, s.d_beta);
         }
       }
 
@@ -458,20 +461,21 @@ void NeuralNetwork::MarginBatch(const FeatureMatrix& features,
                                 std::span<const size_t> rows,
                                 double* out) const {
   ALEM_CHECK(trained());
-  // Rows per forward sub-chunk: big enough that each hidden layer's weight
-  // matrix is streamed once per ~32 examples instead of once per example,
-  // small enough that two activation buffers stay L1/L2-resident.
-  constexpr size_t kChunk = 32;
+  constexpr size_t kBlock = kernels::kNnRowBlock;
   size_t max_width = 0;
   for (const Layer& layer : layers_) {
     max_width = std::max(max_width, static_cast<size_t>(layer.out));
   }
-  // Per-call scratch, allocated once and reused for every chunk. The
+  const size_t max_in =
+      std::max(max_width, static_cast<size_t>(layers_.front().in));
+  // Per-call scratch, allocated once and reused for every block. The
   // batch-norm divisors are hoisted per layer so each sqrt is taken once
   // per call instead of once per (unit, example) as in scalar Margin.
-  std::vector<double> activation(kChunk * max_width);
-  std::vector<double> next(kChunk * max_width);
-  const float* x[kChunk];
+  std::vector<double> activation(kBlock * max_width);
+  std::vector<double> next(kBlock * max_width);
+  std::vector<double> xt(kBlock * max_in);
+  const float* x[kBlock];
+  const double* a[kBlock];
   std::vector<std::vector<double>> bn_sqrts(layers_.size());
   if (config_.use_batch_norm) {
     for (size_t l = 0; l < layers_.size(); ++l) {
@@ -482,53 +486,32 @@ void NeuralNetwork::MarginBatch(const FeatureMatrix& features,
       }
     }
   }
-  // SIMD backends vectorize the affine kernel across units, which wants
-  // unit-contiguous weights: build one [in x out] transposed copy per
-  // layer per call (amortized over every chunk of the batch).
-  const kernels::KernelOps& ops = kernels::Active();
-  std::vector<std::vector<double>> transposed(layers_.size());
-  if (ops.nn_wants_transpose) {
-    for (size_t l = 0; l < layers_.size(); ++l) {
-      const Layer& layer = layers_[l];
-      const size_t out_width = static_cast<size_t>(layer.out);
-      const size_t in_width = static_cast<size_t>(layer.in);
-      transposed[l].resize(in_width * out_width);
-      for (size_t o = 0; o < out_width; ++o) {
-        for (size_t j = 0; j < in_width; ++j) {
-          transposed[l][j * out_width + o] = layer.weights[o * in_width + j];
-        }
-      }
-    }
-  }
 
-  for (size_t base = 0; base < rows.size(); base += kChunk) {
-    const size_t b = std::min(kChunk, rows.size() - base);
+  const kernels::KernelOps& ops = kernels::Active();
+  for (size_t base = 0; base < rows.size(); base += kBlock) {
+    const size_t b = std::min(kBlock, rows.size() - base);
     for (size_t i = 0; i < b; ++i) x[i] = features.Row(rows[base + i]);
 
     for (size_t l = 0; l < layers_.size(); ++l) {
       const Layer& layer = layers_[l];
       const size_t out_width = static_cast<size_t>(layer.out);
       const size_t in_width = static_cast<size_t>(layer.in);
-      // Row-outer / unit-inner: EM networks are narrow, so the layer's
-      // whole weight matrix stays cache-resident across the chunk while
-      // each example's input row stays in L1 for all of its units. The
-      // affine part is backend-dispatched; every backend accumulates each
-      // unit from bias through w[j] * x[j] in ascending j — the scalar
-      // Margin order — and ReLU plus inference batch-norm stay scalar per
-      // (row, unit) (the divisor stays a division by the hoisted sqrt), so
-      // every intermediate double is bitwise-identical to the scalar pass.
-      const double* wt =
-          ops.nn_wants_transpose ? transposed[l].data() : nullptr;
+      // The affine part is the training forward kernel: every backend
+      // accumulates each unit from bias through w[j] * x[j] in ascending
+      // j — the scalar Margin order. ReLU plus inference batch-norm stay
+      // scalar per (row, unit) (the divisor stays a division by the
+      // hoisted sqrt), so every intermediate double is bitwise-identical
+      // to the scalar pass.
+      if (l == 0) {
+        ops.nn_forward_f32(layer.weights.data(), layer.bias.data(), in_width,
+                           out_width, x, b, xt.data(), next.data());
+      } else {
+        for (size_t i = 0; i < b; ++i) a[i] = activation.data() + i * in_width;
+        ops.nn_forward_f64(layer.weights.data(), layer.bias.data(), in_width,
+                           out_width, a, b, xt.data(), next.data());
+      }
       for (size_t i = 0; i < b; ++i) {
-        const double* a = activation.data() + i * in_width;
         double* n = next.data() + i * out_width;
-        if (l == 0) {
-          ops.nn_affine_f32(layer.weights.data(), wt, layer.bias.data(),
-                            in_width, out_width, x[i], n);
-        } else {
-          ops.nn_affine_f64(layer.weights.data(), wt, layer.bias.data(),
-                            in_width, out_width, a, n);
-        }
         for (size_t o = 0; o < out_width; ++o) {
           double z = std::max(0.0, n[o]);  // ReLU.
           if (config_.use_batch_norm) {
@@ -542,12 +525,9 @@ void NeuralNetwork::MarginBatch(const FeatureMatrix& features,
     }
 
     const size_t last = static_cast<size_t>(layers_.back().out);
-    for (size_t i = 0; i < b; ++i) {
-      double z = out_bias_;
-      const double* a = activation.data() + i * last;
-      for (size_t j = 0; j < last; ++j) z += out_weights_[j] * a[j];
-      out[base + i] = z;
-    }
+    for (size_t i = 0; i < b; ++i) a[i] = activation.data() + i * last;
+    ops.nn_forward_f64(out_weights_.data(), &out_bias_, last, 1, a, b,
+                       xt.data(), out + base);
   }
 }
 

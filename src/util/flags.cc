@@ -7,7 +7,8 @@
 
 namespace alem {
 
-FlagParser::FlagParser(int argc, const char* const* argv) {
+FlagParser::FlagParser(int argc, const char* const* argv,
+                       std::initializer_list<std::string_view> booleans) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (!StartsWith(arg, "--")) {
@@ -20,9 +21,11 @@ FlagParser::FlagParser(int argc, const char* const* argv) {
       values_[body.substr(0, equals)] = body.substr(equals + 1);
       continue;
     }
-    // "--name value" when the next token is not a flag; bare "--name"
-    // otherwise.
-    if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
+    // "--name value" when the next token is not a flag and the flag is not
+    // a declared boolean; bare "--name" otherwise.
+    const bool boolean =
+        std::find(booleans.begin(), booleans.end(), body) != booleans.end();
+    if (!boolean && i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
       values_[body] = argv[i + 1];
       ++i;
     } else {

@@ -2,6 +2,9 @@
 //
 // Supports --name=value, --name value, bare boolean --name, and positional
 // arguments. No registration step: callers query by name with a default.
+// The only declaration is the tool's boolean flags: one of those never takes
+// the next token as its value, so `check --exact-curve A.json B.json` keeps
+// A.json positional.
 
 #ifndef ALEM_UTIL_FLAGS_H_
 #define ALEM_UTIL_FLAGS_H_
@@ -17,7 +20,10 @@ namespace alem {
 
 class FlagParser {
  public:
-  FlagParser(int argc, const char* const* argv);
+  // `booleans` names the flags that take no "--name value" form (they still
+  // accept "--name=false").
+  FlagParser(int argc, const char* const* argv,
+             std::initializer_list<std::string_view> booleans = {});
 
   bool Has(const std::string& name) const;
   std::string GetString(const std::string& name,

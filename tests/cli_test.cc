@@ -34,6 +34,33 @@ TEST(FlagParserTest, BareBooleanFlag) {
   EXPECT_FALSE(flags.GetBool("absent", false));
 }
 
+TEST(FlagParserTest, DeclaredBooleanBeforePositionalsTakesNoValue) {
+  // alem_report check --exact-curve A.json B.json
+  const char* argv[] = {"prog", "check", "--exact-curve", "A.json", "B.json"};
+  const FlagParser flags(5, argv, {"exact-curve"});
+  EXPECT_TRUE(flags.GetBool("exact-curve", false));
+  EXPECT_EQ(flags.positional(),
+            (std::vector<std::string>{"check", "A.json", "B.json"}));
+}
+
+TEST(FlagParserTest, DeclaredBooleanBetweenPositionalsTakesNoValue) {
+  // alem_report check A.json --exact-curve B.json --counter-tol 0
+  const char* argv[] = {"prog",   "check",         "A.json", "--exact-curve",
+                        "B.json", "--counter-tol", "0"};
+  const FlagParser flags(7, argv, {"exact-curve"});
+  EXPECT_TRUE(flags.GetBool("exact-curve", false));
+  EXPECT_EQ(flags.GetDouble("counter-tol", 1.0), 0.0);
+  EXPECT_EQ(flags.positional(),
+            (std::vector<std::string>{"check", "A.json", "B.json"}));
+}
+
+TEST(FlagParserTest, DeclaredBooleanStillTakesAnEqualsValue) {
+  const char* argv[] = {"prog", "--quiet=false", "run"};
+  const FlagParser flags(3, argv, {"quiet"});
+  EXPECT_FALSE(flags.GetBool("quiet", true));
+  EXPECT_EQ(flags.positional(), (std::vector<std::string>{"run"}));
+}
+
 TEST(FlagParserTest, PositionalArguments) {
   const FlagParser flags = Parse({"run", "--x=1", "extra"});
   ASSERT_EQ(flags.positional().size(), 2u);

@@ -243,51 +243,130 @@ TEST(KernelDifferentialTest, SvmMarginBlockMatchesScalarBitwise) {
   }
 }
 
-TEST(KernelDifferentialTest, NnAffineMatchesScalarBitwise) {
+// Widths straddling the 4-unit / 4- and 16-lane blocks of the NN kernels.
+constexpr size_t kNnWidths[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33};
+
+// nrows rows of width `in` at odd offsets into one backing buffer.
+template <typename T>
+std::vector<const T*> MisalignedRows(std::vector<T>& storage, size_t in,
+                                     size_t nrows) {
+  std::vector<const T*> rows(nrows + 1, nullptr);
+  for (size_t r = 0; r < nrows; ++r) {
+    rows[r] = storage.data() + r * (in + 3) + (r % 3);
+  }
+  return rows;
+}
+
+TEST(KernelDifferentialTest, NnForwardMatchesScalarBitwise) {
   const kernels::KernelOps& scalar = OpsFor("scalar");
   for (const std::string& backend : NonScalarBackends()) {
     const kernels::KernelOps& ops = OpsFor(backend);
     Rng rng(11);
-    const size_t widths[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33};
-    for (const size_t in : widths) {
-      for (const size_t out : widths) {
-        std::vector<double> w(in * out);
-        std::vector<double> wt(in * out);
-        for (size_t o = 0; o < out; ++o) {
-          for (size_t j = 0; j < in; ++j) {
-            w[o * in + j] = RandomMagnitude(rng);
-            wt[j * out + o] = w[o * in + j];
+    for (const size_t in : kNnWidths) {
+      for (const size_t out : kNnWidths) {
+        // Every row count of a block, so partial blocks are covered.
+        for (size_t nrows = 0; nrows <= kernels::kNnRowBlock; ++nrows) {
+          std::vector<double> w(in * out);
+          for (double& v : w) v = RandomMagnitude(rng);
+          std::vector<double> bias(out);
+          for (double& v : bias) v = RandomMagnitude(rng);
+          std::vector<float> x32(kernels::kNnRowBlock * (in + 3));
+          std::vector<double> x64(x32.size());
+          for (size_t k = 0; k < x32.size(); ++k) {
+            x32[k] = RandomFloatMagnitude(rng);
+            x64[k] = RandomMagnitude(rng);
+          }
+          const auto rows32 = MisalignedRows(x32, in, nrows);
+          const auto rows64 = MisalignedRows(x64, in, nrows);
+          std::vector<double> xt(in * kernels::kNnRowBlock);
+          std::vector<double> expected(nrows * out), actual(nrows * out);
+          scalar.nn_forward_f32(w.data(), bias.data(), in, out, rows32.data(),
+                                nrows, xt.data(), expected.data());
+          ops.nn_forward_f32(w.data(), bias.data(), in, out, rows32.data(),
+                             nrows, xt.data(), actual.data());
+          for (size_t k = 0; k < expected.size(); ++k) {
+            ASSERT_EQ(DoubleBits(actual[k]), DoubleBits(expected[k]))
+                << backend << " f32 in=" << in << " out=" << out
+                << " nrows=" << nrows << " z[" << k << "]: " << actual[k]
+                << " vs " << expected[k];
+          }
+          scalar.nn_forward_f64(w.data(), bias.data(), in, out, rows64.data(),
+                                nrows, xt.data(), expected.data());
+          ops.nn_forward_f64(w.data(), bias.data(), in, out, rows64.data(),
+                             nrows, xt.data(), actual.data());
+          for (size_t k = 0; k < expected.size(); ++k) {
+            ASSERT_EQ(DoubleBits(actual[k]), DoubleBits(expected[k]))
+                << backend << " f64 in=" << in << " out=" << out
+                << " nrows=" << nrows << " z[" << k << "]: " << actual[k]
+                << " vs " << expected[k];
+            if (!std::isnan(expected[k])) {
+              ASSERT_EQ(UlpDistance(actual[k], expected[k]), 0u);
+            }
           }
         }
-        std::vector<double> bias(out);
-        for (double& v : bias) v = RandomMagnitude(rng);
-        std::vector<float> x32(in);
-        std::vector<double> x64(in);
-        for (size_t j = 0; j < in; ++j) {
-          x32[j] = RandomFloatMagnitude(rng);
-          x64[j] = RandomMagnitude(rng);
-        }
-        std::vector<double> expected(out), actual(out);
-        scalar.nn_affine_f32(w.data(), nullptr, bias.data(), in, out,
-                             x32.data(), expected.data());
-        ops.nn_affine_f32(w.data(), wt.data(), bias.data(), in, out,
-                          x32.data(), actual.data());
-        for (size_t o = 0; o < out; ++o) {
-          ASSERT_EQ(DoubleBits(actual[o]), DoubleBits(expected[o]))
-              << backend << " f32 in=" << in << " out=" << out << " o=" << o
-              << ": " << actual[o] << " vs " << expected[o];
-        }
-        scalar.nn_affine_f64(w.data(), nullptr, bias.data(), in, out,
-                             x64.data(), expected.data());
-        ops.nn_affine_f64(w.data(), wt.data(), bias.data(), in, out,
-                          x64.data(), actual.data());
-        for (size_t o = 0; o < out; ++o) {
-          ASSERT_EQ(DoubleBits(actual[o]), DoubleBits(expected[o]))
-              << backend << " f64 in=" << in << " out=" << out << " o=" << o
-              << ": " << actual[o] << " vs " << expected[o];
-          if (!std::isnan(expected[o])) {
-            ASSERT_EQ(UlpDistance(actual[o], expected[o]), 0u);
+      }
+    }
+  }
+}
+
+TEST(KernelDifferentialTest, NnBackwardMatchesScalarBitwise) {
+  const kernels::KernelOps& scalar = OpsFor("scalar");
+  for (const std::string& backend : NonScalarBackends()) {
+    const kernels::KernelOps& ops = OpsFor(backend);
+    Rng rng(13);
+    // Row counts below, at and past one 8-row group of active rows.
+    const size_t row_counts[] = {0, 1, 3, 8, 9, 17};
+    for (const size_t in : kNnWidths) {
+      for (const size_t out : kNnWidths) {
+        for (const size_t nrows : row_counts) {
+          std::vector<double> w(in * out);
+          for (double& v : w) v = RandomMagnitude(rng);
+          // Gradients with exact zeros (ReLU and dropout produce them; the
+          // kernels skip those rows) and negative zeros.
+          std::vector<double> g(nrows * out);
+          for (double& v : g) {
+            const uint64_t kind = rng.NextBelow(4);
+            v = kind == 0 ? 0.0 : kind == 1 ? -0.0 : RandomMagnitude(rng);
           }
+          std::vector<float> x32(nrows * (in + 3) + 1);
+          std::vector<double> x64(x32.size());
+          for (size_t k = 0; k < x32.size(); ++k) {
+            x32[k] = RandomFloatMagnitude(rng);
+            x64[k] = RandomMagnitude(rng);
+          }
+          const auto rows32 = MisalignedRows(x32, in, nrows);
+          const auto rows64 = MisalignedRows(x64, in, nrows);
+          // Prefilled with garbage: both outputs are overwritten.
+          std::vector<double> dw_expected(in * out, 7.0);
+          std::vector<double> dw_actual(in * out, -7.0);
+          std::vector<double> dx_expected(nrows * in + 1, 7.0);
+          std::vector<double> dx_actual(nrows * in + 1, -7.0);
+          scalar.nn_backward_f32(w.data(), g.data(), in, out, rows32.data(),
+                                 nrows, dw_expected.data(), nullptr);
+          ops.nn_backward_f32(w.data(), g.data(), in, out, rows32.data(),
+                              nrows, dw_actual.data(), nullptr);
+          for (size_t k = 0; k < dw_expected.size(); ++k) {
+            ASSERT_EQ(DoubleBits(dw_actual[k]), DoubleBits(dw_expected[k]))
+                << backend << " f32 in=" << in << " out=" << out
+                << " nrows=" << nrows << " dw[" << k << "]";
+          }
+          scalar.nn_backward_f64(w.data(), g.data(), in, out, rows64.data(),
+                                 nrows, dw_expected.data(),
+                                 dx_expected.data());
+          ops.nn_backward_f64(w.data(), g.data(), in, out, rows64.data(),
+                              nrows, dw_actual.data(), dx_actual.data());
+          for (size_t k = 0; k < dw_expected.size(); ++k) {
+            ASSERT_EQ(DoubleBits(dw_actual[k]), DoubleBits(dw_expected[k]))
+                << backend << " f64 in=" << in << " out=" << out
+                << " nrows=" << nrows << " dw[" << k << "]";
+          }
+          for (size_t k = 0; k < nrows * in; ++k) {
+            ASSERT_EQ(DoubleBits(dx_actual[k]), DoubleBits(dx_expected[k]))
+                << backend << " f64 in=" << in << " out=" << out
+                << " nrows=" << nrows << " dx[" << k << "]";
+          }
+          // Nothing past the last row is written.
+          ASSERT_EQ(dx_actual[nrows * in], -7.0);
         }
       }
     }

@@ -522,7 +522,7 @@ int CommandKernels() {
 }
 
 int Main(int argc, char** argv) {
-  const FlagParser flags(argc, argv);
+  const FlagParser flags(argc, argv, {"holdout", "quiet", "no-cache"});
   const std::string command =
       flags.positional().empty() ? "help" : flags.positional()[0];
   // Resolve the kernel backend before any command touches similarity or

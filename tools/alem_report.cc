@@ -431,7 +431,7 @@ int Usage() {
 }
 
 int Main(int argc, char** argv) {
-  const FlagParser flags(argc, argv);
+  const FlagParser flags(argc, argv, {"exact-curve"});
   const std::vector<std::string>& args = flags.positional();
   if (args.empty()) return Usage();
   const std::string& command = args[0];

@@ -361,6 +361,7 @@ BENCHMARK(BM_ForestPredictPoolBatch)->Arg(1)->Arg(4)
 // backend list is a host property.
 
 void RunSvmMarginBackend(benchmark::State& state, const std::string& backend) {
+  parallel::SetNumThreads(1);  // Whatever rows ran (or were filtered) before.
   std::string error;
   if (!kernels::SetBackend(backend, &error)) {
     state.SkipWithError(error.c_str());
@@ -392,6 +393,7 @@ void RunSvmMarginBackend(benchmark::State& state, const std::string& backend) {
 
 void RunNeuralNetProbaBackend(benchmark::State& state,
                               const std::string& backend) {
+  parallel::SetNumThreads(1);  // Whatever rows ran (or were filtered) before.
   std::string error;
   if (!kernels::SetBackend(backend, &error)) {
     state.SkipWithError(error.c_str());

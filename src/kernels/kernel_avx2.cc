@@ -439,23 +439,25 @@ void NnBackwardAvx2(const double* w, const double* g, size_t in, size_t out,
   for (size_t o = 0; o < out; ++o) {
     const double* wo = w + o * in;
     double* dwo = dw + o * in;
-    std::fill(dwo, dwo + in, 0.0);
+    bool started = false;  // dwo holds the 0.0 + ... sums once set.
     for (size_t base = 0; base < nrows; base += 8) {
       const size_t end = std::min(nrows, base + 8);
       size_t na = 0;
       for (size_t r = base; r < end; ++r) {
+        // Branch-free compaction: a zero gradient's slot is overwritten.
         const double gr = g[r * out + o];
-        if (gr == 0.0) continue;
         active[na] = r;
-        gains[na++] = _mm256_set1_pd(gr);
+        gains[na] = _mm256_set1_pd(gr);
+        na += gr != 0.0 ? 1 : 0;
       }
       if (na == 0) continue;
+      const __m256d zero = _mm256_setzero_pd();
       size_t j = 0;
       for (; j + 16 <= in; j += 16) {
-        __m256d a0 = _mm256_loadu_pd(dwo + j);
-        __m256d a1 = _mm256_loadu_pd(dwo + j + 4);
-        __m256d a2 = _mm256_loadu_pd(dwo + j + 8);
-        __m256d a3 = _mm256_loadu_pd(dwo + j + 12);
+        __m256d a0 = started ? _mm256_loadu_pd(dwo + j) : zero;
+        __m256d a1 = started ? _mm256_loadu_pd(dwo + j + 4) : zero;
+        __m256d a2 = started ? _mm256_loadu_pd(dwo + j + 8) : zero;
+        __m256d a3 = started ? _mm256_loadu_pd(dwo + j + 12) : zero;
         for (size_t a = 0; a < na; ++a) {
           const In* xr = x[active[a]] + j;
           a0 = _mm256_add_pd(a0, _mm256_mul_pd(gains[a], Load4(xr)));
@@ -469,7 +471,7 @@ void NnBackwardAvx2(const double* w, const double* g, size_t in, size_t out,
         _mm256_storeu_pd(dwo + j + 12, a3);
       }
       for (; j + 4 <= in; j += 4) {
-        __m256d a0 = _mm256_loadu_pd(dwo + j);
+        __m256d a0 = started ? _mm256_loadu_pd(dwo + j) : zero;
         for (size_t a = 0; a < na; ++a) {
           a0 = _mm256_add_pd(
               a0, _mm256_mul_pd(gains[a], Load4(x[active[a]] + j)));
@@ -477,12 +479,13 @@ void NnBackwardAvx2(const double* w, const double* g, size_t in, size_t out,
         _mm256_storeu_pd(dwo + j, a0);
       }
       for (; j < in; ++j) {
-        double acc = dwo[j];
+        double acc = started ? dwo[j] : 0.0;
         for (size_t a = 0; a < na; ++a) {
           acc += _mm256_cvtsd_f64(gains[a]) * x[active[a]][j];
         }
         dwo[j] = acc;
       }
+      started = true;
       if (dx == nullptr) continue;
       for (size_t a = 0; a < na; ++a) {
         double* dxr = dx + active[a] * in;
@@ -497,6 +500,7 @@ void NnBackwardAvx2(const double* w, const double* g, size_t in, size_t out,
         for (; k < in; ++k) dxr[k] += gr * wo[k];
       }
     }
+    if (!started) std::fill(dwo, dwo + in, 0.0);
   }
 }
 

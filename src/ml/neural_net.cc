@@ -242,13 +242,10 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
         // Dropout (inverted scaling).
         if (config_.dropout > 0.0) {
           for (size_t idx = 0; idx < b * out; ++idx) {
-            if (rng.NextBernoulli(config_.dropout)) {
-              s.drop_mask[idx] = 0;
-              s.post[idx] = 0.0;
-            } else {
-              s.drop_mask[idx] = 1;
-              s.post[idx] *= inv_keep;
-            }
+            const bool drop = rng.NextBernoulli(config_.dropout);
+            const double kept = s.post[idx] * inv_keep;
+            s.drop_mask[idx] = drop ? 0 : 1;
+            s.post[idx] = drop ? 0.0 : kept;
           }
         }
       }
@@ -269,7 +266,9 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
       }
 
       // ---- Backward pass ----
-      // Output affine.
+      // Output affine. Stays a plain loop: unlike the hidden layers it adds
+      // every row's terms, zero gradients included (nn_backward_* skips
+      // them, which differs once an activation is not finite).
       std::fill(d_out_weights.begin(), d_out_weights.end(), 0.0);
       double d_out_bias = 0.0;
       std::fill(top.d_post.begin(), top.d_post.begin() + b * last, 0.0);
@@ -346,13 +345,17 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
         }
 
         // SGD with momentum.
-        auto update = [&](std::vector<double>& param,
-                          std::vector<double>& velocity,
-                          const std::vector<double>& gradient) {
+        const double momentum = config_.momentum;
+        const double rate = learning_rate;
+        auto update = [momentum, rate](std::vector<double>& param,
+                                       std::vector<double>& velocity,
+                                       const std::vector<double>& gradient) {
+          double* p = param.data();
+          double* v = velocity.data();
+          const double* g = gradient.data();
           for (size_t idx = 0; idx < param.size(); ++idx) {
-            velocity[idx] = config_.momentum * velocity[idx] -
-                            learning_rate * gradient[idx];
-            param[idx] += velocity[idx];
+            v[idx] = momentum * v[idx] - rate * g[idx];
+            p[idx] += v[idx];
           }
         };
         update(layer.weights, layer.v_weights, s.d_weights);

@@ -17,6 +17,7 @@
 #include "features/feature_extractor.h"
 #include "features/feature_matrix.h"
 #include "parallel/pool.h"
+#include "synth/generator.h"
 #include "synth/profiles.h"
 
 namespace alem {
@@ -40,8 +41,11 @@ const PreparedDataset& Data() {
   return data;
 }
 
+// The records behind Data(): same profile, seed and scale.
 const FeatureExtractor& Extractor() {
-  static const auto& extractor = *new FeatureExtractor(Data().dataset);
+  static const auto& dataset = *new EmDataset(
+      GenerateDataset(AbtBuyProfile(), Data().data_seed, Data().scale));
+  static const auto& extractor = *new FeatureExtractor(dataset);
   return extractor;
 }
 
@@ -88,7 +92,8 @@ BENCHMARK(BM_ExtractBatch)
     // ExtractBatch fans out over the pool: time and rates are wall.
     ->UseRealTime();
 
-// Warm cache load: the whole matrix from disk, validated and checksummed.
+// Warm cache load: the whole entry (pairs, truth and matrix) from disk,
+// validated and checksummed — what a warm PrepareDataset reads.
 void BM_CacheLoad(benchmark::State& state) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "alem_bench_featurize")
@@ -100,10 +105,12 @@ void BM_CacheLoad(benchmark::State& state) {
   key.data_seed = Data().data_seed;
   key.scale = Data().scale;
   key.num_dims = Data().float_features.dims();
-  cache.Store(key, Data().float_features);
+  cache.Store(key, Data().float_features, Data().pairs, Data().truth);
   FeatureMatrix loaded;
+  std::vector<RecordPair> pairs;
+  std::vector<int> truth;
   for (auto _ : state) {
-    const bool hit = cache.Load(key, &loaded);
+    const bool hit = cache.Load(key, &loaded, &pairs, &truth);
     benchmark::DoNotOptimize(hit);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

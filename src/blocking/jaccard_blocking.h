@@ -11,11 +11,18 @@
 #ifndef ALEM_BLOCKING_JACCARD_BLOCKING_H_
 #define ALEM_BLOCKING_JACCARD_BLOCKING_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "data/dataset.h"
 
 namespace alem {
+
+// Version of JaccardBlocking's output. Feature-cache entries hold the
+// post-blocking pairs and are keyed on this constant, so any change to the
+// pairs the join returns or to their order must bump it (the same rule as
+// kSimRegistryVersion); the bump turns every cached entry into a miss.
+inline constexpr uint32_t kBlockingVersion = 1;
 
 struct BlockingConfig {
   // Minimum token-set Jaccard similarity for a pair to survive blocking.

@@ -22,6 +22,15 @@
 
 namespace alem {
 
+FeatureSchema ProfileSchema(const SynthProfile& profile) {
+  std::vector<std::string> names;
+  names.reserve(profile.columns.size());
+  for (const ColumnSpec& column : profile.columns) {
+    names.push_back(column.name);
+  }
+  return FeatureSchema(std::move(names));
+}
+
 PreparedDataset PrepareDataset(const PrepareOptions& options) {
   if (options.threads > 0) parallel::SetNumThreads(options.threads);
   const SynthProfile& profile = options.profile;
@@ -30,59 +39,76 @@ PreparedDataset PrepareDataset(const PrepareOptions& options) {
   prepared.name = profile.name;
   prepared.data_seed = options.data_seed;
   prepared.scale = options.scale;
-  {
-    obs::ObsSpan generate_span("harness.generate", "harness");
-    prepared.dataset = GenerateDataset(profile, options.data_seed,
-                                       options.scale);
+
+  // The schema and the cache key come from the options alone, so the cache
+  // is consulted before anything is generated: a hit skips generation,
+  // blocking and similarity evaluation.
+  const FeatureSchema schema = ProfileSchema(profile);
+  prepared.feature_names = schema.FeatureNames();
+  const FeatureCache cache(
+      options.use_cache ? FeatureCache::ResolveDir(options.cache_dir) : "");
+  FeatureCacheKey key;
+  key.dataset_name = profile.name;
+  key.profile_fingerprint = ProfileFingerprint(profile);
+  key.data_seed = options.data_seed;
+  key.scale = options.scale;
+  key.sim_fingerprint = SimRegistryFingerprint();
+  key.num_dims = schema.num_dims();
+  key.blocking_version = kBlockingVersion;
+
+  bool loaded = false;
+  if (cache.enabled()) {
+    obs::ObsSpan cache_span("harness.featurize.cache", "harness");
+    loaded = cache.Load(key, &prepared.float_features, &prepared.pairs,
+                        &prepared.truth);
   }
 
-  {
-    obs::ObsSpan block_span("harness.block", "harness");
-    BlockingConfig blocking;
-    blocking.jaccard_threshold = profile.blocking_threshold;
-    prepared.pairs = JaccardBlocking(prepared.dataset, blocking);
-    prepared.truth = prepared.dataset.LabelsFor(prepared.pairs);
-    prepared.class_skew = prepared.dataset.ClassSkew(prepared.pairs);
-    prepared.num_matches = static_cast<size_t>(
-        std::count(prepared.truth.begin(), prepared.truth.end(), 1));
+  // Generated and blocked on a miss only; dropped once featurized.
+  EmDataset dataset;
+  if (!loaded) {
+    {
+      obs::ObsSpan generate_span("harness.generate", "harness");
+      dataset = GenerateDataset(profile, options.data_seed, options.scale);
+    }
+    {
+      obs::ObsSpan block_span("harness.block", "harness");
+      BlockingConfig blocking;
+      blocking.jaccard_threshold = profile.blocking_threshold;
+      prepared.pairs = JaccardBlocking(dataset, blocking);
+      prepared.truth = dataset.LabelsFor(prepared.pairs);
+    }
   }
+  // EmDataset::ClassSkew, computed from the labels both paths hold.
+  prepared.num_matches = static_cast<size_t>(
+      std::count(prepared.truth.begin(), prepared.truth.end(), 1));
+  prepared.class_skew =
+      prepared.pairs.empty()
+          ? 0.0
+          : static_cast<double>(prepared.num_matches) /
+                static_cast<double>(prepared.pairs.size());
 
   {
     obs::ObsSpan featurize_span("harness.featurize", "harness");
-    const FeatureSchema schema = FeatureSchema::FromDataset(prepared.dataset);
-    prepared.feature_names = schema.FeatureNames();
-
-    FeatureCache cache(options.use_cache
-                           ? FeatureCache::ResolveDir(options.cache_dir)
-                           : "");
-    FeatureCacheKey key;
-    key.dataset_name = profile.name;
-    key.profile_fingerprint = ProfileFingerprint(profile);
-    key.data_seed = options.data_seed;
-    key.scale = options.scale;
-    key.sim_fingerprint = SimRegistryFingerprint();
-    key.num_dims = schema.num_dims();
-
-    bool loaded = false;
-    if (cache.enabled()) {
-      obs::ObsSpan cache_span("harness.featurize.cache", "harness");
-      loaded = cache.Load(key, &prepared.float_features) &&
-               prepared.float_features.rows() == prepared.pairs.size();
-    }
     if (loaded) {
       prepared.feature_cache = "hit";
-      // A cache hit skips every similarity evaluation, so nothing registers
-      // the sim.calls counter; register it explicitly so warm-run reports
-      // still carry sim.calls=0 instead of omitting the key.
-      obs::MetricsRegistry::Global().GetCounter("sim.calls");
+      // A hit runs neither the blocking join nor any similarity function,
+      // so register their counters here: warm reports then carry the same
+      // blocking.candidate_pairs as cold ones, and sim.calls=0 instead of
+      // omitting the key.
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+      registry.GetCounter("blocking.candidate_pairs")
+          .Add(prepared.pairs.size());
+      registry.GetCounter("sim.calls");
     } else {
-      // Recompute (also covers the corrupt / truncated / stale-rows cases,
-      // which Load reports as misses) and publish for the next process.
-      FeatureExtractor extractor(prepared.dataset);
+      // Recompute (also covers the corrupt / truncated / stale cases, which
+      // Load reports as misses) and publish for the next process.
+      FeatureExtractor extractor(dataset);
+      ALEM_CHECK_EQ(extractor.num_dims(), schema.num_dims());
       prepared.float_features = extractor.ExtractAll(prepared.pairs);
       if (cache.enabled()) {
         obs::ObsSpan cache_span("harness.featurize.cache", "harness");
-        cache.Store(key, prepared.float_features);
+        cache.Store(key, prepared.float_features, prepared.pairs,
+                    prepared.truth);
         prepared.feature_cache = "miss";
       }
     }

@@ -10,8 +10,10 @@
 // arguments: the options map 1:1 onto the provenance block of RunReport
 // artifacts, so every knob that changes the prepared bytes (profile, seed,
 // scale) or how they are obtained (cache policy, thread count) is named at
-// the call site. The float feature matrix is served from the persistent
-// feature cache when one is configured (see docs/featurization.md).
+// the call site. When a persistent feature cache is configured, one entry
+// holds the post-blocking pairs, their labels and the float feature matrix;
+// a hit loads all three and skips generation, blocking and similarity
+// evaluation (see docs/featurization.md).
 
 #ifndef ALEM_CORE_HARNESS_H_
 #define ALEM_CORE_HARNESS_H_
@@ -30,14 +32,18 @@
 #include "data/dataset.h"
 #include "features/boolean_features.h"
 #include "features/feature_matrix.h"
+#include "features/feature_schema.h"
 #include "synth/profiles.h"
 
 namespace alem {
 
+// A hit and a miss return the same fields. The generated records are not
+// kept: a caller that needs them calls GenerateDataset with the same
+// profile, data seed and scale.
 struct PreparedDataset {
   std::string name;
-  EmDataset dataset;
-  // Post-blocking candidate pairs and their ground-truth labels.
+  // Post-blocking candidate pairs (row indices into the generated tables)
+  // and their ground-truth labels (0/1), one per float-feature row.
   std::vector<RecordPair> pairs;
   std::vector<int> truth;
   // Float features (21 sims x matched columns) for all pairs.
@@ -49,6 +55,7 @@ struct PreparedDataset {
   std::shared_ptr<BooleanFeaturizer> featurizer;
   std::vector<std::string> feature_names;
 
+  // Derived from `truth`: the fraction and the number of matching pairs.
   double class_skew = 0.0;
   size_t num_matches = 0;
 
@@ -78,8 +85,15 @@ struct PrepareOptions {
   int threads = 0;
 };
 
-// Generates the dataset and runs the preprocessing pipeline.
+// Runs the preprocessing pipeline, or loads its result from the feature
+// cache. A hit reads one entry and runs only the Boolean featurization; the
+// harness.generate and harness.block spans are then absent.
 PreparedDataset PrepareDataset(const PrepareOptions& options);
+
+// The feature schema of a profile's datasets, from its column names alone:
+// the generator matches exactly those columns, in order, so this equals
+// FeatureSchema::FromDataset of any dataset generated from `profile`.
+FeatureSchema ProfileSchema(const SynthProfile& profile);
 
 // The seed/batch/budget/target knobs live in the shared LoopBudget base
 // (core/active_loop.h), so RunConfig and ActiveLearningConfig can never

@@ -1,12 +1,15 @@
-// Content-addressed persistent cache for extracted feature matrices.
+// Content-addressed persistent cache for prepared datasets.
 //
-// Feature rows are deterministic in (synth profile, data_seed, scale) and
-// the similarity registry, so the float feature matrix of a prepared
-// dataset can be persisted once and reloaded on every later run — the
-// dominant `harness.featurize` cost becomes a single file read. Entries
-// are keyed by a fingerprint of everything the matrix depends on
-// (FeatureCacheKey); any semantic change (a similarity-function tweak bumps
-// kSimRegistryVersion, a profile edit changes the profile fingerprint)
+// A prepared dataset's post-blocking pairs, their ground truth and its float
+// feature matrix are deterministic in (synth profile, data_seed, scale), the
+// blocking join and the similarity registry, so all three can be persisted
+// once and reloaded on every later run: a warm PrepareDataset is one file
+// read plus the Boolean featurization, with no generation, blocking or
+// similarity evaluation. Entries are keyed by a fingerprint of everything
+// they depend on (FeatureCacheKey plus kFeatureCacheEntryVersion); any
+// semantic change (a similarity-function tweak bumps kSimRegistryVersion, a
+// blocking change bumps kBlockingVersion, a profile edit changes the
+// profile fingerprint, a layout change bumps kFeatureCacheEntryVersion)
 // changes the file name, so stale entries are simply never found.
 //
 // Robustness contract: a missing, truncated, corrupted, or wrong-shape
@@ -22,12 +25,19 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "data/dataset.h"
 #include "features/feature_matrix.h"
 
 namespace alem {
 
-// Everything a cached float feature matrix is a pure function of.
+// Layout version of a cache entry (docs/featurization.md). Mixed into every
+// file name, so entries written in an older layout are never found; bump it
+// whenever the entry layout changes.
+inline constexpr uint32_t kFeatureCacheEntryVersion = 2;
+
+// Everything a cache entry is a pure function of.
 struct FeatureCacheKey {
   std::string dataset_name;       // For a readable file name only.
   uint64_t profile_fingerprint = 0;  // synth::ProfileFingerprint
@@ -35,6 +45,9 @@ struct FeatureCacheKey {
   double scale = 1.0;
   uint64_t sim_fingerprint = 0;   // SimRegistryFingerprint()
   uint64_t num_dims = 0;
+  // kBlockingVersion (blocking/jaccard_blocking.h) of the join that made
+  // the entry's pairs; entries that hold no pairs may leave it 0.
+  uint32_t blocking_version = 0;
 
   // "<sanitized dataset_name>-<16 hex digest>.fmat".
   std::string FileName() const;
@@ -52,15 +65,24 @@ class FeatureCache {
   bool enabled() const { return !dir_.empty(); }
   const std::string& dir() const { return dir_; }
 
-  // Loads the entry for `key` into *out. Returns false — and counts a miss
-  // — when disabled, absent, unreadable, or invalid in any way.
-  bool Load(const FeatureCacheKey& key, FeatureMatrix* out) const;
+  // Loads the entry for `key` into *out and, when `pairs`/`truth` are
+  // given, its candidate pairs and their labels. Returns false — and
+  // counts a miss, leaving every output untouched — when disabled, absent,
+  // unreadable, or invalid in any way: a checksum mismatch, a truth value
+  // other than 0/1, a matrix width other than key.num_dims, or (when pairs
+  // are requested) a pair count other than the matrix row count.
+  bool Load(const FeatureCacheKey& key, FeatureMatrix* out,
+            std::vector<RecordPair>* pairs = nullptr,
+            std::vector<int>* truth = nullptr) const;
 
-  // Persists `matrix` under `key` (temp file + atomic rename; creates the
-  // cache directory if needed). Returns false on any I/O failure; failures
-  // are non-fatal to callers — the cache is an optimization, not a store
-  // of record.
-  bool Store(const FeatureCacheKey& key, const FeatureMatrix& matrix) const;
+  // Persists `matrix` — and `pairs`/`truth`, one per matrix row, or both
+  // empty for a matrix-only entry — under `key` (temp file + atomic
+  // rename; creates the cache directory if needed). Returns false on any
+  // I/O failure or mismatched sizes; failures are non-fatal to callers —
+  // the cache is an optimization, not a store of record.
+  bool Store(const FeatureCacheKey& key, const FeatureMatrix& matrix,
+             const std::vector<RecordPair>& pairs = {},
+             const std::vector<int>& truth = {}) const;
 
  private:
   std::string EntryPath(const FeatureCacheKey& key) const;

@@ -1,6 +1,12 @@
-// Tests for the CLI support pieces: flag parsing and approach-name parsing.
+// Tests for the CLI support pieces (flag parsing and approach-name
+// parsing) and for alem_cli's own output, driven through the built binary.
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "core/approaches.h"
 #include "util/flags.h"
@@ -140,6 +146,50 @@ TEST(ApproachFromNameTest, ParsedSpecsBuild) {
     const Approach approach = MakeApproach(spec, 1);
     EXPECT_TRUE(approach.selector->CompatibleWith(*approach.learner));
   }
+}
+
+// Runs `alem_cli <args>` and returns its standard output; fails the test
+// on a nonzero exit.
+std::string RunCli(const std::string& args) {
+  const std::string command = std::string(ALEM_CLI_PATH) + " " + args;
+  FILE* pipe = popen(command.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << command;
+  if (pipe == nullptr) return "";
+  std::string output;
+  char buffer[256];
+  size_t read = 0;
+  while ((read = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    output.append(buffer, read);
+  }
+  EXPECT_EQ(pclose(pipe), 0) << command;
+  return output;
+}
+
+// `stats` prints record counts, which a cache hit never generates: a miss,
+// a hit and an uncached run must still print the same bytes.
+TEST(CliStatsTest, MissHitAndNoCachePrintTheSameStats) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "alem_cli_stats";
+  fs::remove_all(dir);
+  const std::string stats = "stats --dataset=Abt-Buy --scale=0.2 --seed=3";
+
+  const std::string miss = RunCli(stats + " --cache-dir=" + dir.string());
+  std::vector<fs::path> entries;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    entries.push_back(entry.path());
+  }
+  ASSERT_EQ(entries.size(), 1u);
+  const fs::file_time_type written = fs::last_write_time(entries[0]);
+
+  const std::string hit = RunCli(stats + " --cache-dir=" + dir.string());
+  // A hit reads the entry and leaves it alone; a miss would rewrite it.
+  EXPECT_EQ(fs::last_write_time(entries[0]), written);
+  const std::string uncached = RunCli(stats + " --no-cache");
+
+  EXPECT_NE(miss.find("left records:"), std::string::npos) << miss;
+  EXPECT_EQ(hit, miss);
+  EXPECT_EQ(uncached, miss);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -4,26 +4,45 @@
 #include <gtest/gtest.h>
 
 #include "core/harness.h"
+#include "features/feature_schema.h"
 #include "sim/similarity.h"
+#include "synth/generator.h"
 #include "synth/profiles.h"
 
 namespace alem {
 namespace {
 
+constexpr uint64_t kDataSeed = 13;
+constexpr double kScale = 0.2;
+
 class PipelinePropertyTest : public ::testing::TestWithParam<int> {
  protected:
+  static SynthProfile Profile(int index) {
+    return AllPublicProfiles()[static_cast<size_t>(index)];
+  }
+
   // One small prepared dataset per profile, cached across tests.
   static const PreparedDataset& Data(int index) {
     static auto& cache = *new std::map<int, PreparedDataset>();
     auto it = cache.find(index);
     if (it == cache.end()) {
-      const std::vector<SynthProfile> profiles = AllPublicProfiles();
+      it = cache
+               .emplace(index, PrepareDataset({.profile = Profile(index),
+                                               .data_seed = kDataSeed,
+                                               .scale = kScale}))
+               .first;
+    }
+    return it->second;
+  }
+
+  // The records behind Data(index): same profile, seed and scale.
+  static const EmDataset& Records(int index) {
+    static auto& cache = *new std::map<int, EmDataset>();
+    auto it = cache.find(index);
+    if (it == cache.end()) {
       it = cache
                .emplace(index,
-                        PrepareDataset(
-                            {.profile = profiles[static_cast<size_t>(index)],
-                             .data_seed = 13,
-                             .scale = 0.2}))
+                        GenerateDataset(Profile(index), kDataSeed, kScale))
                .first;
     }
     return it->second;
@@ -43,7 +62,7 @@ TEST_P(PipelinePropertyTest, FloatFeaturesWithinUnitInterval) {
 
 TEST_P(PipelinePropertyTest, DimensionalityContract) {
   const PreparedDataset& data = Data(GetParam());
-  const size_t columns = data.dataset.matched_columns.size();
+  const size_t columns = Records(GetParam()).matched_columns.size();
   EXPECT_EQ(data.float_features.dims(),
             columns * static_cast<size_t>(kNumSimilarityFunctions));
   // Boolean atoms: 3 rule similarity functions x 10 thresholds per column.
@@ -56,12 +75,23 @@ TEST_P(PipelinePropertyTest, TruthAlignsWithPairs) {
   ASSERT_EQ(data.truth.size(), data.pairs.size());
   size_t matches = 0;
   for (size_t i = 0; i < data.pairs.size(); ++i) {
-    EXPECT_EQ(data.truth[i], data.dataset.truth.IsMatch(data.pairs[i]) ? 1 : 0);
+    EXPECT_EQ(data.truth[i],
+              Records(GetParam()).truth.IsMatch(data.pairs[i]) ? 1 : 0);
     matches += static_cast<size_t>(data.truth[i]);
   }
   EXPECT_EQ(matches, data.num_matches);
   EXPECT_GT(matches, 0u) << data.name;
   EXPECT_LT(matches, data.pairs.size()) << data.name;
+}
+
+// PrepareDataset builds its schema from the profile before generating
+// anything; it must be the schema of the generated records.
+TEST_P(PipelinePropertyTest, ProfileSchemaMatchesGeneratedSchema) {
+  const FeatureSchema from_profile = ProfileSchema(Profile(GetParam()));
+  const FeatureSchema from_dataset =
+      FeatureSchema::FromDataset(Records(GetParam()));
+  // Every other schema property is a function of the column names.
+  EXPECT_EQ(from_profile.column_names(), from_dataset.column_names());
 }
 
 TEST_P(PipelinePropertyTest, BooleanFeaturesConsistentWithFloat) {

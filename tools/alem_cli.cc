@@ -85,6 +85,7 @@
 #include "obs/artifacts.h"
 #include "obs/obs.h"
 #include "parallel/pool.h"
+#include "synth/generator.h"
 #include "synth/profiles.h"
 #include "util/flags.h"
 
@@ -134,13 +135,18 @@ int CommandStats(const FlagParser& flags) {
   const SynthProfile profile = ProfileByName(dataset_name);
   const obs::ArtifactOptions artifacts =
       obs::ArtifactOptionsFromFlags(flags, "alem_cli_stats_" + dataset_name);
-  const PreparedDataset data =
-      PrepareDataset(PrepareOptionsFromFlags(flags, artifacts, profile));
+  const PrepareOptions options =
+      PrepareOptionsFromFlags(flags, artifacts, profile);
+  const PreparedDataset data = PrepareDataset(options);
+  // PreparedDataset keeps no records (a cache hit never generates them), so
+  // the record counts come from the same generation a miss runs.
+  const EmDataset dataset =
+      GenerateDataset(profile, options.data_seed, options.scale);
   std::printf("dataset:             %s\n", data.name.c_str());
-  std::printf("left records:        %zu\n", data.dataset.left.num_rows());
-  std::printf("right records:       %zu\n", data.dataset.right.num_rows());
+  std::printf("left records:        %zu\n", dataset.left.num_rows());
+  std::printf("right records:       %zu\n", dataset.right.num_rows());
   std::printf("total pairs:         %llu\n",
-              static_cast<unsigned long long>(data.dataset.TotalPairs()));
+              static_cast<unsigned long long>(dataset.TotalPairs()));
   std::printf("post-blocking pairs: %zu\n", data.pairs.size());
   std::printf("true matches:        %zu\n", data.num_matches);
   std::printf("class skew:          %.3f\n", data.class_skew);

@@ -11,7 +11,9 @@
 #      covering both thread-count and cache-vs-recompute invariance.
 #   2. Cache warmth: rerunning the same workload against the now-warm
 #      cache must produce a bitwise-identical curve, report
-#      config.cache="hit", and count exactly one featurize.cache.hit.
+#      config.cache="hit", count exactly one featurize.cache.hit, and
+#      carry the cold run's blocking.candidate_pairs (a hit loads the
+#      pairs instead of blocking).
 #   3. Exact replay: fresh runs of all six 60-label golden workloads
 #      (linear-margin, trees5, linear-qbc4, rules, supervised-trees5,
 #      nn-qbc2) must
@@ -45,6 +47,10 @@
 #      committed uninterrupted baseline with the curve exact and every
 #      counter exact (--exact-curve --counter-tol=0), stamped
 #      config.session="resumed" / session_resumes=1 (docs/sessions.md).
+#      A second resume of the same snapshot against the cache directory
+#      its save filled must replay the baseline the same way, with a
+#      prepare that was a hit: a cache span and no generation or blocking
+#      span.
 #   9. Warm starts (docs/training.md): a --warm-start=on run must stay
 #      within the F1 tolerance of a cold run with warm/cold fit counters
 #      consistent and config.warm_start stamped; and the warm run paused
@@ -124,6 +130,9 @@ assert cold["counters"].get("featurize.cache.miss") == 1, cold["counters"]
 assert cold["counters"].get("featurize.cache.write") == 1, cold["counters"]
 assert warm["counters"].get("featurize.cache.hit") == 1, warm["counters"]
 assert warm["counters"].get("featurize.cache.miss", 0) == 0, warm["counters"]
+assert (warm["counters"].get("blocking.candidate_pairs")
+        == cold["counters"].get("blocking.candidate_pairs")), (
+    warm["counters"], cold["counters"])
 EOF
 
 echo "[3/11] exact replay: six golden workloads, curve and counters exact"
@@ -294,7 +303,22 @@ config = report["config"]
 assert config.get("session") == "resumed", config.get("session")
 assert config.get("session_resumes") == 1, config.get("session_resumes")
 EOF
-echo "resumed run replays the golden baseline exactly"
+"$cli" session resume --snapshot="$work/gate.alss" --threads=4 \
+    --cache-dir="$work/cache_session" --quiet \
+    --report="$work/resumed_warm.report.json" > /dev/null
+"$report_tool" check \
+    "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
+    "$work/resumed_warm.report.json" --exact-curve --counter-tol=0
+python3 - "$work/resumed_warm.report.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+spans = {span["name"] for span in report.get("spans", [])}
+assert "harness.featurize.cache" in spans, sorted(spans)
+for skipped in ("harness.generate", "harness.block", "blocking.jaccard"):
+    assert skipped not in spans, f"{skipped} ran in a cache-hit resume"
+EOF
+echo "resumed run replays the golden baseline exactly, warm and cold"
 
 echo "[9/11] warm starts: warm gated, warm resume"
 # on = warm refits: the curve is gated against a cold run by F1 tolerance,

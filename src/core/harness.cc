@@ -54,7 +54,6 @@ PreparedDataset PrepareDataset(const PrepareOptions& options) {
   key.scale = options.scale;
   key.sim_fingerprint = SimRegistryFingerprint();
   key.num_dims = schema.num_dims();
-  key.blocking_version = kBlockingVersion;
 
   bool loaded = false;
   if (cache.enabled()) {
@@ -103,7 +102,10 @@ PreparedDataset PrepareDataset(const PrepareOptions& options) {
       // Recompute (also covers the corrupt / truncated / stale cases, which
       // Load reports as misses) and publish for the next process.
       FeatureExtractor extractor(dataset);
-      ALEM_CHECK_EQ(extractor.num_dims(), schema.num_dims());
+      // The hit path trusts ProfileSchema for the names and width of the
+      // cached features, so a profile whose columns differ from the
+      // generated ones must fail here, not be stored under wrong names.
+      ALEM_CHECK(extractor.schema().column_names() == schema.column_names());
       prepared.float_features = extractor.ExtractAll(prepared.pairs);
       if (cache.enabled()) {
         obs::ObsSpan cache_span("harness.featurize.cache", "harness");

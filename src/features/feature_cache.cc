@@ -12,7 +12,9 @@
 #include <string_view>
 #include <utility>
 
+#include "blocking/jaccard_blocking.h"
 #include "obs/obs.h"
+#include "synth/generator.h"
 
 namespace alem {
 namespace {
@@ -135,19 +137,21 @@ bool DecodeEntry(std::string_view blob, FeatureMatrix* matrix,
 }  // namespace
 
 std::string FeatureCacheKey::FileName() const {
-  // Digest the entry layout version and every field the entry is a
-  // function of; the double is hashed by bit pattern (scales are exact
-  // user inputs, not computed values).
+  // Digest the entry layout version, the versions of the blocking join and
+  // the generator that made the stored pairs and truth, and every field the
+  // entry is a function of; the double is hashed by bit pattern (scales are
+  // exact user inputs, not computed values).
   uint64_t hash = kFnvOffsetBasis;
   hash = Fnv1aMix(hash, &kFeatureCacheEntryVersion,
                   sizeof(kFeatureCacheEntryVersion));
+  hash = Fnv1aMix(hash, &kBlockingVersion, sizeof(kBlockingVersion));
+  hash = Fnv1aMix(hash, &kSynthVersion, sizeof(kSynthVersion));
   hash = Fnv1aMix(hash, dataset_name.data(), dataset_name.size());
   hash = Fnv1aMix(hash, &profile_fingerprint, sizeof(profile_fingerprint));
   hash = Fnv1aMix(hash, &data_seed, sizeof(data_seed));
   hash = Fnv1aMix(hash, &scale, sizeof(scale));
   hash = Fnv1aMix(hash, &sim_fingerprint, sizeof(sim_fingerprint));
   hash = Fnv1aMix(hash, &num_dims, sizeof(num_dims));
-  hash = Fnv1aMix(hash, &blocking_version, sizeof(blocking_version));
 
   std::string sanitized;
   sanitized.reserve(dataset_name.size());

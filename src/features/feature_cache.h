@@ -6,11 +6,13 @@
 // once and reloaded on every later run: a warm PrepareDataset is one file
 // read plus the Boolean featurization, with no generation, blocking or
 // similarity evaluation. Entries are keyed by a fingerprint of everything
-// they depend on (FeatureCacheKey plus kFeatureCacheEntryVersion); any
-// semantic change (a similarity-function tweak bumps kSimRegistryVersion, a
-// blocking change bumps kBlockingVersion, a profile edit changes the
-// profile fingerprint, a layout change bumps kFeatureCacheEntryVersion)
-// changes the file name, so stale entries are simply never found.
+// they depend on (FeatureCacheKey plus kFeatureCacheEntryVersion,
+// kBlockingVersion and kSynthVersion); any semantic change (a
+// similarity-function tweak bumps kSimRegistryVersion, a blocking change
+// bumps kBlockingVersion, a generator change bumps kSynthVersion, a profile
+// edit changes the profile fingerprint, a layout change bumps
+// kFeatureCacheEntryVersion) changes the file name, so stale entries are
+// simply never found.
 //
 // Robustness contract: a missing, truncated, corrupted, or wrong-shape
 // cache file is a silent miss — the caller recomputes and overwrites.
@@ -45,9 +47,6 @@ struct FeatureCacheKey {
   double scale = 1.0;
   uint64_t sim_fingerprint = 0;   // SimRegistryFingerprint()
   uint64_t num_dims = 0;
-  // kBlockingVersion (blocking/jaccard_blocking.h) of the join that made
-  // the entry's pairs; entries that hold no pairs may leave it 0.
-  uint32_t blocking_version = 0;
 
   // "<sanitized dataset_name>-<16 hex digest>.fmat".
   std::string FileName() const;

@@ -24,6 +24,15 @@
 
 namespace alem {
 
+// Version of GenerateDataset's output. Feature-cache entries hold the
+// post-blocking pairs and their ground truth and are keyed on this
+// constant, so any change to the records generated for a (profile, seed,
+// scale), to their order, to the Rng stream they draw from or to the
+// matches EmDataset::LabelsFor reports must bump it (the same rule as
+// kSimRegistryVersion and kBlockingVersion); the bump turns every cached
+// entry into a miss.
+inline constexpr uint32_t kSynthVersion = 1;
+
 // Generates a dataset. `scale` multiplies all entity counts (1.0 keeps the
 // profile's laptop-scale defaults). Deterministic in (profile, seed, scale).
 EmDataset GenerateDataset(const SynthProfile& profile, uint64_t seed,

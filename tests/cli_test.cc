@@ -2,6 +2,7 @@
 // parsing) and for alem_cli's own output, driven through the built binary.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -165,6 +166,12 @@ std::string RunCli(const std::string& args) {
   return output;
 }
 
+// The inode number of `path` (0 when it cannot be stat'ed).
+ino_t InodeOf(const std::filesystem::path& path) {
+  struct stat info {};
+  return ::stat(path.c_str(), &info) == 0 ? info.st_ino : 0;
+}
+
 // `stats` prints record counts, which a cache hit never generates: a miss,
 // a hit and an uncached run must still print the same bytes.
 TEST(CliStatsTest, MissHitAndNoCachePrintTheSameStats) {
@@ -180,9 +187,13 @@ TEST(CliStatsTest, MissHitAndNoCachePrintTheSameStats) {
   }
   ASSERT_EQ(entries.size(), 1u);
   const fs::file_time_type written = fs::last_write_time(entries[0]);
+  const ino_t inode = InodeOf(entries[0]);
 
   const std::string hit = RunCli(stats + " --cache-dir=" + dir.string());
-  // A hit reads the entry and leaves it alone; a miss would rewrite it.
+  // A hit reads the entry and leaves it alone. A miss would rename a new
+  // file over it, which has a new inode even where a coarse timestamp
+  // leaves the mtime unchanged.
+  EXPECT_EQ(InodeOf(entries[0]), inode);
   EXPECT_EQ(fs::last_write_time(entries[0]), written);
   const std::string uncached = RunCli(stats + " --no-cache");
 

@@ -17,11 +17,13 @@
 #include <utility>
 #include <vector>
 
+#include "blocking/jaccard_blocking.h"
 #include "core/harness.h"
 #include "features/feature_cache.h"
 #include "features/feature_matrix.h"
 #include "obs/obs.h"
 #include "parallel/pool.h"
+#include "synth/generator.h"
 #include "synth/profiles.h"
 
 namespace alem {
@@ -300,9 +302,8 @@ TEST(FeatureCacheTest, MalformedEntryIsAMissAndLeavesOutputsUntouched) {
   }
 }
 
-// The digest of the pre-pairs layout: the six key fields, no version.
-std::string LegacyFileName(const FeatureCacheKey& key) {
-  uint64_t hash = kFnvBasis;
+// Mixes the six key fields and builds the file name around the digest.
+std::string NameFromDigest(const FeatureCacheKey& key, uint64_t hash) {
   const auto mix = [&hash](const void* data, size_t size) {
     hash = Fnv1a(static_cast<const char*>(data), size, hash);
   };
@@ -318,6 +319,26 @@ std::string LegacyFileName(const FeatureCacheKey& key) {
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(hash));
   return sanitized + "-" + digest + ".fmat";
+}
+
+// The digest of the pre-pairs layout: the six key fields, no version.
+std::string LegacyFileName(const FeatureCacheKey& key) {
+  return NameFromDigest(key, kFnvBasis);
+}
+
+// The digest of the current layout with the given entry, blocking and
+// generator versions mixed in ahead of the key fields.
+std::string VersionedFileName(const FeatureCacheKey& key,
+                              uint32_t entry_version,
+                              uint32_t blocking_version,
+                              uint32_t synth_version) {
+  uint64_t hash = kFnvBasis;
+  for (const uint32_t version :
+       {entry_version, blocking_version, synth_version}) {
+    hash = Fnv1a(reinterpret_cast<const char*>(&version), sizeof(version),
+                 hash);
+  }
+  return NameFromDigest(key, hash);
 }
 
 TEST(FeatureCacheTest, BareMatrixEntriesOfTheOldLayoutAreNotFound) {
@@ -350,19 +371,30 @@ TEST(FeatureCacheTest, EveryKeyComponentAddressesADistinctEntry) {
   sim_changed.sim_fingerprint ^= 1;
   FeatureCacheKey dims_changed = base;
   dims_changed.num_dims += kNumSimilarityFunctions;
-  FeatureCacheKey blocking_changed = base;  // A kBlockingVersion bump.
-  blocking_changed.blocking_version += 1;
 
   for (const FeatureCacheKey& changed :
        {profile_changed, seed_changed, scale_changed, sim_changed,
-        dims_changed, blocking_changed}) {
+        dims_changed}) {
     EXPECT_NE(changed.FileName(), base.FileName());
   }
-  // kFeatureCacheEntryVersion is part of the digest too: no key addresses
-  // the file its pre-versioned layout would have used.
-  for (const FeatureCacheKey& key : {base, blocking_changed}) {
-    EXPECT_NE(key.FileName(), LegacyFileName(key));
-  }
+
+  // The entry layout, blocking and generator versions are constants mixed
+  // into every digest: the file name is exactly the digest of the current
+  // three, bumping any one of them addresses a different file, and no key
+  // addresses the file its pre-versioned layout would have used.
+  EXPECT_EQ(base.FileName(),
+            VersionedFileName(base, kFeatureCacheEntryVersion,
+                              kBlockingVersion, kSynthVersion));
+  EXPECT_NE(base.FileName(),
+            VersionedFileName(base, kFeatureCacheEntryVersion + 1,
+                              kBlockingVersion, kSynthVersion));
+  EXPECT_NE(base.FileName(),
+            VersionedFileName(base, kFeatureCacheEntryVersion,
+                              kBlockingVersion + 1, kSynthVersion));
+  EXPECT_NE(base.FileName(),
+            VersionedFileName(base, kFeatureCacheEntryVersion,
+                              kBlockingVersion, kSynthVersion + 1));
+  EXPECT_NE(base.FileName(), LegacyFileName(base));
 
   // A stored entry is invisible under the bumped similarity-registry key:
   // stale matrices are simply never found.

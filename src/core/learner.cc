@@ -33,7 +33,7 @@ void Learner::Fit(const FeatureMatrix& features, const std::vector<int>& labels,
       obs::MetricsRegistry::Global().GetCounter("ml.fit_calls");
   fits.Increment();
   // Warm/cold rollup: ml.warm_fits + ml.cold_fits == ml.fit_calls always
-  // (trace_summary.py --check enforces it; docs/observability.md).
+  // (the report parser enforces it; docs/observability.md).
   if (warm) {
     static obs::Counter& warm_fits =
         obs::MetricsRegistry::Global().GetCounter("ml.warm_fits");

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "util/check.h"
+#include "util/file.h"
+#include "util/fnv.h"
 
 namespace alem {
 namespace {
@@ -22,16 +23,6 @@ constexpr char kSessionMagic[4] = {'A', 'L', 'S', 'S'};
 constexpr uint32_t kSessionFormatVersion = 1;
 constexpr size_t kSessionHeaderSize = 4 + 4 + 8 + 8;
 constexpr size_t kTagSize = 4;
-
-uint64_t Fnv1a(const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  uint64_t hash = 1469598103934665603ULL;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
 
 void AppendRaw(std::string* out, const void* data, size_t size) {
   out->append(static_cast<const char*>(data), size);
@@ -427,7 +418,8 @@ std::string SessionSnapshot::Serialize() const {
   AppendRaw(&out, &version, sizeof(version));
   const uint64_t payload_size = payload.size();
   AppendRaw(&out, &payload_size, sizeof(payload_size));
-  const uint64_t checksum = Fnv1a(payload.data(), payload.size());
+  const uint64_t checksum =
+      Fnv1aMix(kFnvOffsetBasis, payload.data(), payload.size());
   AppendRaw(&out, &checksum, sizeof(checksum));
   out.append(payload);
   return out;
@@ -464,7 +456,8 @@ bool SessionSnapshot::Parse(std::string_view blob, SessionSnapshot* out,
     *error = "session snapshot: payload size mismatch (truncated or padded)";
     return false;
   }
-  if (Fnv1a(cursor, static_cast<size_t>(payload_size)) != checksum) {
+  if (Fnv1aMix(kFnvOffsetBasis, cursor,
+               static_cast<size_t>(payload_size)) != checksum) {
     *error = "session snapshot: checksum mismatch (corrupt file)";
     return false;
   }
@@ -513,14 +506,12 @@ bool SessionSnapshot::WriteFile(const std::string& path,
 
 bool SessionSnapshot::ReadFile(const std::string& path, SessionSnapshot* out,
                                std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string blob;
+  if (!ReadWholeFile(path, &blob)) {
     *error = "session snapshot: cannot open '" + path + "'";
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Parse(buffer.str(), out, error);
+  return Parse(blob, out, error);
 }
 
 // ---- LabelingSession ---------------------------------------------------

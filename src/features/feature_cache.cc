@@ -15,6 +15,8 @@
 #include "blocking/jaccard_blocking.h"
 #include "obs/obs.h"
 #include "synth/generator.h"
+#include "util/file.h"
+#include "util/fnv.h"
 
 namespace alem {
 namespace {
@@ -50,17 +52,6 @@ void CountCacheWrite() {
   static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("featurize.cache.write");
   counter.Add(1);
-}
-
-constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
-
-uint64_t Fnv1aMix(uint64_t hash, const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
 }
 
 void AppendRaw(std::string* out, const void* data, size_t size) {
@@ -128,7 +119,8 @@ bool DecodeEntry(std::string_view blob, FeatureMatrix* matrix,
     return false;
   }
   pairs->resize(static_cast<size_t>(n));
-  std::memcpy(pairs->data(), cursor, pairs->size() * sizeof(RecordPair));
+  // memcpy with the null data() of an empty vector is undefined.
+  if (n > 0) std::memcpy(pairs->data(), cursor, n * sizeof(RecordPair));
   truth->assign(truth_bytes, truth_bytes + n);
   *matrix = std::move(parsed);
   return true;
@@ -184,19 +176,12 @@ bool FeatureCache::Load(const FeatureCacheKey& key, FeatureMatrix* out,
     CountCacheMiss();
     return false;
   }
-  // One read straight into a buffer sized from the file length (tellg is
-  // -1 when the file did not open; the failed stream then reads nothing).
-  std::ifstream file(EntryPath(key), std::ios::binary | std::ios::ate);
-  std::string blob(static_cast<size_t>(std::max<std::streamoff>(
-                       file.tellg(), 0)),
-                   '\0');
-  file.seekg(0);
-  file.read(blob.data(), static_cast<std::streamsize>(blob.size()));
+  std::string blob;
   FeatureMatrix parsed;
   std::vector<RecordPair> parsed_pairs;
   std::vector<int> parsed_truth;
   const bool want_pairs = pairs != nullptr || truth != nullptr;
-  if (!file.good() ||
+  if (!ReadWholeFile(EntryPath(key), &blob) ||
       !DecodeEntry(blob, &parsed, &parsed_pairs, &parsed_truth) ||
       parsed.dims() != key.num_dims ||
       (want_pairs && parsed_pairs.size() != parsed.rows())) {

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/check.h"
+#include "util/fnv.h"
 
 namespace alem {
 namespace {
@@ -18,16 +19,6 @@ namespace {
 constexpr char kMatrixMagic[4] = {'A', 'L', 'F', 'M'};
 constexpr uint32_t kMatrixFormatVersion = 1;
 constexpr size_t kMatrixHeaderSize = 4 + 4 + 8 + 8 + 8;
-
-uint64_t Fnv1a(const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  uint64_t hash = 1469598103934665603ULL;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
 
 void AppendRaw(std::string* out, const void* data, size_t size) {
   out->append(static_cast<const char*>(data), size);
@@ -88,7 +79,8 @@ std::string FeatureMatrix::Serialize() const {
   const uint64_t dims = dims_;
   AppendRaw(&out, &rows, sizeof(rows));
   AppendRaw(&out, &dims, sizeof(dims));
-  const uint64_t checksum = Fnv1a(data_.data(), payload_bytes);
+  const uint64_t checksum =
+      Fnv1aMix(kFnvOffsetBasis, data_.data(), payload_bytes);
   AppendRaw(&out, &checksum, sizeof(checksum));
   AppendRaw(&out, data_.data(), payload_bytes);
   return out;
@@ -121,7 +113,9 @@ bool FeatureMatrix::Deserialize(std::string_view blob, FeatureMatrix* out) {
   const size_t expected_payload =
       static_cast<size_t>(rows) * static_cast<size_t>(dims) * sizeof(float);
   if (blob.size() - kMatrixHeaderSize != expected_payload) return false;
-  if (Fnv1a(cursor, expected_payload) != checksum) return false;
+  if (Fnv1aMix(kFnvOffsetBasis, cursor, expected_payload) != checksum) {
+    return false;
+  }
 
   FeatureMatrix parsed(static_cast<size_t>(rows), static_cast<size_t>(dims));
   std::memcpy(parsed.data_.data(), cursor, expected_payload);

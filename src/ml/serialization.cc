@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/file.h"
 
 namespace alem {
 namespace {
@@ -376,12 +377,7 @@ bool SaveToFile(const std::string& path, const std::string& blob) {
 }
 
 bool LoadFromFile(const std::string& path, std::string* blob) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *blob = buffer.str();
-  return true;
+  return ReadWholeFile(path, blob);
 }
 
 }  // namespace alem

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
-#include <sstream>
 
+#include "util/file.h"
 #include "util/json.h"
 
 // Injected by src/obs/CMakeLists.txt from `git describe` at configure time.
@@ -332,11 +333,38 @@ std::string ReportToJson(const RunReport& report) {
 
 namespace {
 
-// Field extraction with required-field accounting: every miss appends to
-// *missing so the error message names all absent fields at once.
+std::string FormatDouble(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+// Exclusive upper bounds of the integer fields: counts and seeds are
+// uint64; schema_version, threads, pool.workers and tree_depth are int.
+constexpr double kUint64Limit = 18446744073709551616.0;  // 2^64
+constexpr double kIntLimit = 2147483648.0;               // 2^31
+
+// Reads an integer field or counter. Anything but a number naming an
+// integer in [0, limit) is reported, never cast: the cast of a negative or
+// out-of-range double is undefined.
+uint64_t ReadUint(const JsonValue& value, const std::string& field,
+                  double limit, std::vector<std::string>* invalid) {
+  const double v = value.is_number() ? value.number_value() : -1.0;
+  if (!(v >= 0.0 && v < limit) || v != std::floor(v)) {
+    invalid->push_back(field + " is not an integer in [0, " +
+                       (limit == kIntLimit ? "2^31" : "2^64") + ")");
+    return 0;
+  }
+  return static_cast<uint64_t>(v);
+}
+
+// Field extraction with failure accounting: an absent required field
+// appends to *missing and a present field of the wrong type or range to
+// *invalid, so the error message names every failure at once.
 struct FieldReader {
   const JsonValue& object;
   std::string* missing;
+  std::vector<std::string>* invalid;
   std::string context;
 
   const JsonValue* Get(const char* key, bool required) const {
@@ -347,47 +375,234 @@ struct FieldReader {
     }
     return value;
   }
-
-  std::string String(const char* key, bool required = true) const {
-    const JsonValue* v = Get(key, required);
-    return (v != nullptr && v->is_string()) ? v->string_value() : "";
+  // The field when present and of the wanted kind; a mistyped field is
+  // reported and read as absent.
+  const JsonValue* Typed(const char* key, bool required,
+                         bool (JsonValue::*is_kind)() const,
+                         const char* kind) const {
+    const JsonValue* value = Get(key, required);
+    if (value != nullptr && !(value->*is_kind)()) {
+      invalid->push_back(context + key + " is not " + kind);
+      return nullptr;
+    }
+    return value;
   }
-  double Number(const char* key, bool required = true) const {
-    const JsonValue* v = Get(key, required);
-    return (v != nullptr && v->is_number()) ? v->number_value() : 0.0;
+  const JsonValue* Object(const char* key, bool required = true) const {
+    return Typed(key, required, &JsonValue::is_object, "an object");
   }
-  uint64_t Uint(const char* key, bool required = true) const {
-    const double v = Number(key, required);
-    return v > 0 ? static_cast<uint64_t>(v + 0.5) : 0;
+  std::string String(const char* key) const {
+    const JsonValue* v = Typed(key, true, &JsonValue::is_string, "a string");
+    return v != nullptr ? v->string_value() : "";
   }
-  bool Bool(const char* key, bool required = true) const {
+  // Optional string: *out keeps its default unless the field is present.
+  void OptionalString(const char* key, std::string* out) const {
+    const JsonValue* v = Typed(key, false, &JsonValue::is_string, "a string");
+    if (v != nullptr) *out = v->string_value();
+  }
+  double Number(const char* key) const {
+    const JsonValue* v = Typed(key, true, &JsonValue::is_number, "a number");
+    return v != nullptr ? v->number_value() : 0.0;
+  }
+  bool Bool(const char* key) const {
+    const JsonValue* v = Typed(key, true, &JsonValue::is_bool, "a boolean");
+    return v != nullptr && v->bool_value();
+  }
+  uint64_t Uint(const char* key, bool required = true,
+                double limit = kUint64Limit) const {
     const JsonValue* v = Get(key, required);
-    return v != nullptr && v->is_bool() && v->bool_value();
+    return v != nullptr ? ReadUint(*v, context + key, limit, invalid) : 0;
+  }
+  int Int(const char* key) const {
+    return static_cast<int>(Uint(key, /*required=*/true, kIntLimit));
+  }
+  // Elements of an array field that must all be objects.
+  std::vector<const JsonValue*> Objects(const char* key,
+                                        bool required = true) const {
+    std::vector<const JsonValue*> elements;
+    const JsonValue* array =
+        Typed(key, required, &JsonValue::is_array, "an array");
+    if (array == nullptr) return elements;
+    for (const JsonValue& element : array->array()) {
+      if (element.is_object()) {
+        elements.push_back(&element);
+      } else {
+        invalid->push_back(context + key + "[] element is not an object");
+      }
+    }
+    return elements;
   }
 };
 
-bool ParseIteration(const JsonValue& value, ReportIteration* it,
-                    std::string* missing) {
-  if (!value.is_object()) return false;
-  FieldReader reader{value, missing, "curve[]."};
-  it->iteration = reader.Uint("iteration");
-  it->labels_used = reader.Uint("labels_used");
-  it->precision = reader.Number("precision");
-  it->recall = reader.Number("recall");
-  it->f1 = reader.Number("f1");
-  it->train_seconds = reader.Number("train_seconds");
-  it->evaluate_seconds = reader.Number("evaluate_seconds");
-  it->select_seconds = reader.Number("select_seconds");
-  it->committee_seconds = reader.Number("committee_seconds");
-  it->scoring_seconds = reader.Number("scoring_seconds");
-  it->label_seconds = reader.Number("label_seconds");
-  it->wait_seconds = reader.Number("wait_seconds");
-  it->scored_examples = reader.Uint("scored_examples");
-  it->pruned_examples = reader.Uint("pruned_examples");
-  it->dnf_atoms = reader.Uint("dnf_atoms");
-  it->tree_depth = static_cast<int>(reader.Number("tree_depth"));
-  it->ensemble_size = reader.Uint("ensemble_size");
-  return true;
+ReportIteration ParseIteration(const FieldReader& reader) {
+  ReportIteration it;
+  it.iteration = reader.Uint("iteration");
+  it.labels_used = reader.Uint("labels_used");
+  it.precision = reader.Number("precision");
+  it.recall = reader.Number("recall");
+  it.f1 = reader.Number("f1");
+  it.train_seconds = reader.Number("train_seconds");
+  it.evaluate_seconds = reader.Number("evaluate_seconds");
+  it.select_seconds = reader.Number("select_seconds");
+  it.committee_seconds = reader.Number("committee_seconds");
+  it.scoring_seconds = reader.Number("scoring_seconds");
+  it.label_seconds = reader.Number("label_seconds");
+  it.wait_seconds = reader.Number("wait_seconds");
+  it.scored_examples = reader.Uint("scored_examples");
+  it.pruned_examples = reader.Uint("pruned_examples");
+  it.dnf_atoms = reader.Uint("dnf_atoms");
+  it.tree_depth = reader.Int("tree_depth");
+  it.ensemble_size = reader.Uint("ensemble_size");
+  return it;
+}
+
+// The semantic invariants of a parsed report (docs/observability.md,
+// "Report invariants"); every violation appends to *failures.
+void CheckInvariants(const RunReport& r, std::vector<std::string>* failures) {
+  auto fail = [failures](std::string message) {
+    failures->push_back(std::move(message));
+  };
+  if (r.schema_version != kReportSchemaVersion) {
+    fail("unsupported schema_version " + std::to_string(r.schema_version) +
+         " (expected " + std::to_string(kReportSchemaVersion) + ")");
+  }
+  const bool is_run = r.kind == "run";
+  if (!is_run && r.kind != "bench") {
+    fail("unknown report kind '" + r.kind + "'");
+  }
+
+  for (const SpanRollupEntry& span : r.spans) {
+    if (span.self_seconds > span.total_seconds + 1e-9) {
+      fail("span " + span.name + ": self time " +
+           FormatDouble(span.self_seconds) + "s exceeds total " +
+           FormatDouble(span.total_seconds) + "s");
+    }
+  }
+
+  // Feature cache. A resumed session's counters stitch in the saving
+  // process's totals while its spans cover only the resuming process, so
+  // it may lack the cache span (docs/sessions.md).
+  const uint64_t hits = r.CounterOr("featurize.cache.hit");
+  const uint64_t misses = r.CounterOr("featurize.cache.miss");
+  const uint64_t writes = r.CounterOr("featurize.cache.write");
+  if (hits != 0 || misses != 0 || writes != 0) {
+    const bool has_span =
+        std::any_of(r.spans.begin(), r.spans.end(), [](const auto& span) {
+          return span.name == "harness.featurize.cache";
+        });
+    if (!has_span && r.session != "resumed") {
+      fail("featurize.cache.* counters present but no "
+           "harness.featurize.cache span recorded");
+    }
+    if (writes > misses) {
+      fail("featurize.cache.write " + std::to_string(writes) +
+           " exceeds featurize.cache.miss " + std::to_string(misses) +
+           " (every write follows a miss)");
+    }
+    if (is_run && r.cache == "off") {
+      fail("featurize.cache.* counters present but config.cache is 'off'");
+    } else if (is_run && r.cache == "hit" && hits == 0) {
+      fail("config.cache is 'hit' but featurize.cache.hit is zero");
+    } else if (is_run && r.cache == "miss" && misses == 0) {
+      fail("config.cache is 'miss' but featurize.cache.miss is zero");
+    }
+  }
+
+  // Warm starts (docs/training.md): every fit is warm or cold.
+  const uint64_t warm = r.CounterOr("ml.warm_fits");
+  const uint64_t cold = r.CounterOr("ml.cold_fits");
+  const uint64_t fits = r.CounterOr("ml.fit_calls");
+  const bool has_split =
+      r.CounterOr("ml.warm_fits", UINT64_MAX) != UINT64_MAX ||
+      r.CounterOr("ml.cold_fits", UINT64_MAX) != UINT64_MAX;
+  if (has_split && warm + cold != fits) {
+    fail("ml.warm_fits " + std::to_string(warm) + " + ml.cold_fits " +
+         std::to_string(cold) + " != ml.fit_calls " + std::to_string(fits));
+  }
+  if (r.warm_start != "off" && r.warm_start != "on") {
+    fail("config.warm_start is '" + r.warm_start + "' (expected off/on)");
+  } else if (r.warm_start == "off" && warm > 0) {
+    fail("config.warm_start is 'off' but ml.warm_fits is " +
+         std::to_string(warm));
+  }
+
+  for (const LatencyEntry& entry : r.latency) {
+    if (entry.count == 0) {
+      fail("latency " + entry.name +
+           ": count must be positive (empty regions are omitted)");
+    }
+    if (!(0.0 <= entry.p50_seconds && entry.p50_seconds <= entry.p95_seconds &&
+          entry.p95_seconds <= entry.p99_seconds)) {
+      fail("latency " + entry.name + ": percentiles not ordered (p50=" +
+           FormatDouble(entry.p50_seconds) + " p95=" +
+           FormatDouble(entry.p95_seconds) + " p99=" +
+           FormatDouble(entry.p99_seconds) + ")");
+    }
+  }
+
+  // Thread pool: per-worker accounting tiles worker wall time.
+  auto utilization_ok = [](double u) { return 0.0 <= u && u <= 1.0 + 1e-9; };
+  if (r.has_pool) {
+    const PoolStats& pool = r.pool;
+    if (pool.workers < 1) {
+      fail("pool workers " + std::to_string(pool.workers) + " must be >= 1");
+    }
+    const double wall = pool.worker_wall_seconds;
+    const double accounted =
+        pool.busy_seconds + pool.idle_seconds + pool.queue_wait_seconds;
+    if (std::abs(accounted - wall) > std::max(0.01 * wall, 0.01)) {
+      fail("pool accounting gap: busy+idle+queue_wait " +
+           FormatDouble(accounted) + "s vs worker_wall " + FormatDouble(wall) +
+           "s (must agree within 1% or 10ms)");
+    }
+    if (!utilization_ok(pool.utilization)) {
+      fail("pool utilization " + FormatDouble(pool.utilization) +
+           " outside [0, 1]");
+    }
+    for (const PoolRegionStats& region : pool.regions) {
+      if (region.runs == 0 || region.chunks == 0) {
+        fail("pool region " + region.name + ": runs/chunks must be positive");
+      }
+      const double lo = region.min_chunk_seconds;
+      const double mean = region.mean_chunk_seconds;
+      const double hi = region.max_chunk_seconds;
+      if (!(0.0 <= lo && lo <= mean + 1e-12 && mean <= hi + 1e-12)) {
+        fail("pool region " + region.name + ": chunk stats not ordered (min=" +
+             FormatDouble(lo) + " mean=" + FormatDouble(mean) +
+             " max=" + FormatDouble(hi) + ")");
+      }
+      if (!utilization_ok(region.utilization)) {
+        fail("pool region " + region.name + ": utilization " +
+             FormatDouble(region.utilization) + " outside [0, 1]");
+      }
+    }
+  }
+
+  if (!is_run) return;
+  if (r.curve.empty()) fail("run report has an empty curve");
+  for (size_t i = 0; i < r.curve.size(); ++i) {
+    const ReportIteration& point = r.curve[i];
+    if (i > 0 && point.labels_used < r.curve[i - 1].labels_used) {
+      fail("curve[" + std::to_string(i) + "]: labels_used " +
+           std::to_string(point.labels_used) + " decreases");
+    }
+    if (!(0.0 <= point.f1 && point.f1 <= 1.0)) {
+      fail("curve[" + std::to_string(i) + "]: F1 " + FormatDouble(point.f1) +
+           " outside [0, 1]");
+    }
+  }
+  if (!r.curve.empty() && std::abs(r.final_f1 - r.curve.back().f1) > 1e-12) {
+    fail("summary.final_f1 does not match the last curve point");
+  }
+  // A run that queried no labels measured nothing. Random-batch approaches
+  // ("...Random...", and DeepMatcher's random batches) score no examples.
+  if (r.CounterOr("oracle.queries") == 0) {
+    fail("counter oracle.queries is zero or missing");
+  }
+  const bool scores = r.approach.find("Random") == std::string::npos &&
+                      r.approach != "DeepMatcher";
+  if (scores && r.CounterOr("selector.scored_examples") == 0) {
+    fail("counter selector.scored_examples is zero or missing");
+  }
 }
 
 }  // namespace
@@ -406,56 +621,41 @@ bool ParseReportJson(std::string_view text, RunReport* report,
   }
 
   std::string missing;
-  FieldReader top{root, &missing, ""};
+  std::vector<std::string> failures;
+  FieldReader top{root, &missing, &failures, ""};
   RunReport parsed;
-  parsed.schema_version = static_cast<int>(top.Number("schema_version"));
+  parsed.schema_version = top.Int("schema_version");
   parsed.kind = top.String("kind");
   parsed.tool = top.String("tool");
   parsed.build = top.String("build");
 
-  const JsonValue* config = top.Get("config", true);
-  if (config != nullptr && config->is_object()) {
-    FieldReader cfg{*config, &missing, "config."};
+  if (const JsonValue* config = top.Object("config")) {
+    FieldReader cfg{*config, &missing, &failures, "config."};
     parsed.dataset = cfg.String("dataset");
     parsed.approach = cfg.String("approach");
     parsed.data_seed = cfg.Uint("data_seed");
     parsed.run_seed = cfg.Uint("run_seed");
     parsed.scale = cfg.Number("scale");
-    parsed.threads = static_cast<int>(cfg.Number("threads"));
+    parsed.threads = cfg.Int("threads");
     parsed.seed_size = cfg.Uint("seed_size");
     parsed.batch_size = cfg.Uint("batch_size");
     parsed.max_labels = cfg.Uint("max_labels");
     parsed.oracle_noise = cfg.Number("oracle_noise");
     parsed.holdout = cfg.Bool("holdout");
-    const std::string cache = cfg.String("cache", /*required=*/false);
-    if (!cache.empty()) parsed.cache = cache;
-    const std::string kernel_backend =
-        cfg.String("kernel_backend", /*required=*/false);
-    if (!kernel_backend.empty()) parsed.kernel_backend = kernel_backend;
-    const std::string session = cfg.String("session", /*required=*/false);
-    if (!session.empty()) parsed.session = session;
-    if (cfg.Get("session_resumes", false) != nullptr) {
-      parsed.session_resumes = cfg.Uint("session_resumes");
-    }
-    const std::string warm_start = cfg.String("warm_start", /*required=*/false);
-    if (!warm_start.empty()) parsed.warm_start = warm_start;
+    parsed.cache = cfg.String("cache");
+    cfg.OptionalString("kernel_backend", &parsed.kernel_backend);
+    cfg.OptionalString("session", &parsed.session);
+    parsed.session_resumes = cfg.Uint("session_resumes", /*required=*/false);
+    cfg.OptionalString("warm_start", &parsed.warm_start);
   }
 
   const bool is_run = parsed.kind == "run";
-  const JsonValue* curve = top.Get("curve", is_run);
-  if (curve != nullptr && curve->is_array()) {
-    for (const JsonValue& element : curve->array()) {
-      ReportIteration it;
-      if (!ParseIteration(element, &it, &missing)) {
-        if (error != nullptr) *error = "curve element is not an object";
-        return false;
-      }
-      parsed.curve.push_back(it);
-    }
+  for (const JsonValue* element : top.Objects("curve", is_run)) {
+    parsed.curve.push_back(
+        ParseIteration({*element, &missing, &failures, "curve[]."}));
   }
-  const JsonValue* summary = top.Get("summary", is_run);
-  if (summary != nullptr && summary->is_object()) {
-    FieldReader sum{*summary, &missing, "summary."};
+  if (const JsonValue* summary = top.Object("summary", is_run)) {
+    FieldReader sum{*summary, &missing, &failures, "summary."};
     sum.Uint("iterations");
     parsed.best_f1 = sum.Number("best_f1");
     parsed.final_f1 = sum.Number("final_f1");
@@ -464,103 +664,79 @@ bool ParseReportJson(std::string_view text, RunReport* report,
     parsed.ensemble_accepted = sum.Uint("ensemble_accepted");
   }
 
-  const JsonValue* counters = top.Get("counters", true);
-  if (counters != nullptr && counters->is_object()) {
+  if (const JsonValue* counters = top.Object("counters")) {
     for (const auto& [name, value] : counters->object()) {
       parsed.counters.emplace_back(
-          name, value.is_number()
-                    ? static_cast<uint64_t>(value.number_value() + 0.5)
-                    : 0);
+          name, ReadUint(value, "counters." + name, kUint64Limit, &failures));
     }
   }
-  const JsonValue* gauges = top.Get("gauges", true);
-  if (gauges != nullptr && gauges->is_object()) {
+  if (const JsonValue* gauges = top.Object("gauges")) {
     for (const auto& [name, value] : gauges->object()) {
+      if (!value.is_number()) {
+        failures.push_back("gauges." + name + " is not a number");
+      }
       parsed.gauges.emplace_back(
           name, value.is_number() ? value.number_value() : 0.0);
     }
   }
-  const JsonValue* spans = top.Get("spans", true);
-  if (spans != nullptr && spans->is_array()) {
-    for (const JsonValue& element : spans->array()) {
-      if (!element.is_object()) continue;
-      FieldReader span{element, &missing, "spans[]."};
-      SpanRollupEntry entry;
-      entry.name = span.String("name");
-      entry.count = span.Uint("count");
-      entry.total_seconds = span.Number("total_seconds");
-      entry.self_seconds = span.Number("self_seconds");
-      parsed.spans.push_back(std::move(entry));
-    }
+  for (const JsonValue* element : top.Objects("spans")) {
+    FieldReader span{*element, &missing, &failures, "spans[]."};
+    SpanRollupEntry entry;
+    entry.name = span.String("name");
+    entry.count = span.Uint("count");
+    entry.total_seconds = span.Number("total_seconds");
+    entry.self_seconds = span.Number("self_seconds");
+    parsed.spans.push_back(std::move(entry));
   }
   // Optional sections (pre-telemetry reports stay loadable).
-  const JsonValue* latency = top.Get("latency", /*required=*/false);
-  if (latency != nullptr && latency->is_array()) {
-    for (const JsonValue& element : latency->array()) {
-      if (!element.is_object()) continue;
-      FieldReader lat{element, &missing, "latency[]."};
-      LatencyEntry entry;
-      entry.name = lat.String("name");
-      entry.count = lat.Uint("count");
-      entry.sum_seconds = lat.Number("sum_seconds");
-      entry.p50_seconds = lat.Number("p50_seconds");
-      entry.p95_seconds = lat.Number("p95_seconds");
-      entry.p99_seconds = lat.Number("p99_seconds");
-      parsed.latency.push_back(std::move(entry));
-    }
+  for (const JsonValue* element : top.Objects("latency", /*required=*/false)) {
+    FieldReader lat{*element, &missing, &failures, "latency[]."};
+    LatencyEntry entry;
+    entry.name = lat.String("name");
+    entry.count = lat.Uint("count");
+    entry.sum_seconds = lat.Number("sum_seconds");
+    entry.p50_seconds = lat.Number("p50_seconds");
+    entry.p95_seconds = lat.Number("p95_seconds");
+    entry.p99_seconds = lat.Number("p99_seconds");
+    parsed.latency.push_back(std::move(entry));
   }
-  const JsonValue* pool = top.Get("pool", /*required=*/false);
-  if (pool != nullptr && pool->is_object()) {
+  if (const JsonValue* pool = top.Object("pool", /*required=*/false)) {
     parsed.has_pool = true;
-    FieldReader p{*pool, &missing, "pool."};
-    parsed.pool.workers = static_cast<int>(p.Number("workers"));
+    FieldReader p{*pool, &missing, &failures, "pool."};
+    parsed.pool.workers = p.Int("workers");
     parsed.pool.busy_seconds = p.Number("busy_seconds");
     parsed.pool.idle_seconds = p.Number("idle_seconds");
     parsed.pool.queue_wait_seconds = p.Number("queue_wait_seconds");
     parsed.pool.worker_wall_seconds = p.Number("worker_wall_seconds");
     parsed.pool.utilization = p.Number("utilization");
-    const JsonValue* regions = p.Get("regions", true);
-    if (regions != nullptr && regions->is_array()) {
-      for (const JsonValue& element : regions->array()) {
-        if (!element.is_object()) continue;
-        FieldReader reg{element, &missing, "pool.regions[]."};
-        PoolRegionStats region;
-        region.name = reg.String("name");
-        region.runs = reg.Uint("runs");
-        region.chunks = reg.Uint("chunks");
-        region.min_chunk_seconds = reg.Number("min_chunk_seconds");
-        region.max_chunk_seconds = reg.Number("max_chunk_seconds");
-        region.mean_chunk_seconds = reg.Number("mean_chunk_seconds");
-        region.utilization = reg.Number("utilization");
-        parsed.pool.regions.push_back(std::move(region));
-      }
+    for (const JsonValue* element : p.Objects("regions")) {
+      FieldReader reg{*element, &missing, &failures, "pool.regions[]."};
+      PoolRegionStats region;
+      region.name = reg.String("name");
+      region.runs = reg.Uint("runs");
+      region.chunks = reg.Uint("chunks");
+      region.min_chunk_seconds = reg.Number("min_chunk_seconds");
+      region.max_chunk_seconds = reg.Number("max_chunk_seconds");
+      region.mean_chunk_seconds = reg.Number("mean_chunk_seconds");
+      region.utilization = reg.Number("utilization");
+      parsed.pool.regions.push_back(std::move(region));
     }
   }
-  const JsonValue* process = top.Get("process", true);
-  if (process != nullptr && process->is_object()) {
-    FieldReader proc{*process, &missing, "process."};
+  if (const JsonValue* process = top.Object("process")) {
+    FieldReader proc{*process, &missing, &failures, "process."};
     parsed.wall_seconds = proc.Number("wall_seconds");
     parsed.peak_rss_bytes = proc.Uint("peak_rss_bytes");
   }
 
+  CheckInvariants(parsed, &failures);
   if (!missing.empty()) {
-    if (error != nullptr) *error = "missing required fields: " + missing;
-    return false;
+    failures.insert(failures.begin(), "missing required fields: " + missing);
   }
-  if (parsed.schema_version != kReportSchemaVersion) {
+  if (!failures.empty()) {
     if (error != nullptr) {
-      *error = "unsupported schema_version " +
-               std::to_string(parsed.schema_version) + " (expected " +
-               std::to_string(kReportSchemaVersion) + ")";
+      *error = failures[0];
+      for (size_t i = 1; i < failures.size(); ++i) *error += "; " + failures[i];
     }
-    return false;
-  }
-  if (parsed.kind != "run" && parsed.kind != "bench") {
-    if (error != nullptr) *error = "unknown report kind '" + parsed.kind + "'";
-    return false;
-  }
-  if (is_run && parsed.curve.empty()) {
-    if (error != nullptr) *error = "run report has an empty curve";
     return false;
   }
   *report = std::move(parsed);
@@ -577,25 +753,17 @@ bool WriteReportJson(const std::string& path, const RunReport& report) {
 
 bool LoadReportFile(const std::string& path, RunReport* report,
                     std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file.is_open()) {
+  std::string content;
+  if (!ReadWholeFile(path, &content)) {
     if (error != nullptr) *error = "cannot read " + path;
     return false;
   }
-  std::ostringstream content;
-  content << file.rdbuf();
-  return ParseReportJson(content.str(), report, error);
+  return ParseReportJson(content, report, error);
 }
 
 // ---- Regression gate --------------------------------------------------
 
 namespace {
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 void CheckLatency(const char* what, double baseline, double candidate,
                   double tolerance, std::vector<std::string>* failures) {
@@ -657,17 +825,13 @@ std::vector<std::string> CheckReports(const RunReport& baseline,
           " vs baseline " + FormatDouble(baseline.best_f1) + " (tolerance " +
           FormatDouble(options.f1_tol) + ")");
     }
-    // A run that queried no labels measured nothing. Scoring is required
-    // only where the baseline scored: a random selector never scores.
-    auto require_nonzero = [&](const std::string& name) {
-      if (candidate.CounterOr(name) == 0) {
-        failures.push_back("counter " + name +
-                           " is zero or missing in candidate");
-      }
-    };
-    require_nonzero("oracle.queries");
-    if (baseline.CounterOr("selector.scored_examples") != 0) {
-      require_nonzero("selector.scored_examples");
+    // Scoring is required where the baseline scored: a random-batch
+    // candidate cannot stand in for a scoring baseline. (The parser already
+    // requires oracle.queries of every run report.)
+    if (baseline.CounterOr("selector.scored_examples") != 0 &&
+        candidate.CounterOr("selector.scored_examples") == 0) {
+      failures.push_back(
+          "counter selector.scored_examples is zero or missing in candidate");
     }
   }
 

@@ -14,7 +14,8 @@
 // Consumers:
 //   * tools/alem_report                   show / compare / diff / check /
 //                                         aggregate (BENCH_alembench.json)
-//   * tools/trace_summary.py --check      schema validation
+//   * ParseReportJson() below             the one validator: schema, field
+//                                         types and report invariants
 //   * CheckReports() below                the regression gate ctest runs
 //                                         against the golden baseline
 //
@@ -46,8 +47,8 @@
 // "latency" (per-region tail percentiles from the lat.* histograms),
 // and "pool" (thread-pool utilization; only present when the pool engaged,
 // so threads=1 reports are unchanged) are optional on parse like
-// config.cache, config.kernel_backend, and config.session/session_resumes,
-// keeping schema v1 backward compatible. A "profile" section written by
+// config.kernel_backend, config.session/session_resumes and
+// config.warm_start, keeping schema v1 backward compatible. A "profile" section written by
 // older builds is accepted and ignored.
 // Doubles are written with %.17g so a parse-back is bit-identical — the
 // determinism gate (--exact-curve) depends on this.
@@ -152,8 +153,7 @@ struct RunReport {
   double oracle_noise = 0.0;
   bool holdout = false;
   // Feature-cache provenance: "off" (caching disabled), "miss" (computed
-  // and stored), or "hit" (loaded from ALEM_CACHE_DIR). Optional on parse
-  // so pre-cache reports stay loadable; defaults to "off".
+  // and stored), or "hit" (loaded from ALEM_CACHE_DIR). Required on parse.
   std::string cache = "off";
   // SIMD kernel backend the run executed with ("scalar", "avx2"; see
   // src/kernels/backend.h). Optional on parse so pre-kernel reports stay
@@ -214,8 +214,10 @@ void StampObservability(RunReport* report);
 
 std::string ReportToJson(const RunReport& report);
 
-// Parses and schema-validates a report. Missing required fields, a wrong
-// schema version, or malformed JSON fail with a message in *error.
+// Parses and validates a report: the one RunReport validator. Malformed
+// JSON, missing required fields, mistyped or out-of-range fields, a wrong
+// schema version, and every broken report invariant (docs/observability.md,
+// "Report invariants") fail, with one message in *error naming them all.
 bool ParseReportJson(std::string_view text, RunReport* report,
                      std::string* error);
 
@@ -247,8 +249,8 @@ struct ReportCheckOptions {
 };
 
 // Compares a candidate report against a baseline; returns human-readable
-// failure strings (empty = gate passes). Both "run"-kind reports must
-// carry nonzero oracle.queries / selector.scored_examples counters.
+// failure strings (empty = gate passes). A "run"-kind candidate must carry
+// a nonzero selector.scored_examples wherever the baseline does.
 std::vector<std::string> CheckReports(const RunReport& baseline,
                                       const RunReport& candidate,
                                       const ReportCheckOptions& options);

@@ -2,6 +2,7 @@
 
 #include "parallel/pool.h"
 #include "util/check.h"
+#include "util/fnv.h"
 
 namespace alem {
 namespace {
@@ -38,20 +39,13 @@ void SimilarityFunction::EvaluateChunk(const AttributeProfile* const* left,
 
 uint64_t SimRegistryFingerprint() {
   // FNV-1a over the registry version and the ordered function names.
-  uint64_t hash = 1469598103934665603ULL;
-  auto mix = [&hash](const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ULL;
-    }
-  };
+  uint64_t hash = kFnvOffsetBasis;
   const uint32_t version = kSimRegistryVersion;
-  mix(&version, sizeof(version));
+  hash = Fnv1aMix(hash, &version, sizeof(version));
   for (const SimilarityFunction* function : AllSimilarityFunctions()) {
     const std::string_view name = function->name();
-    mix(name.data(), name.size());
-    mix("|", 1);
+    hash = Fnv1aMix(hash, name.data(), name.size());
+    hash = Fnv1aMix(hash, "|", 1);
   }
   return hash;
 }

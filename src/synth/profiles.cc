@@ -3,6 +3,7 @@
 #include <type_traits>
 
 #include "util/check.h"
+#include "util/fnv.h"
 
 namespace alem {
 
@@ -271,15 +272,6 @@ SynthProfile ProfileByName(const std::string& name) {
 }
 
 namespace {
-
-uint64_t Fnv1aMix(uint64_t hash, const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
 
 uint64_t MixString(uint64_t hash, const std::string& s) {
   hash = Fnv1aMix(hash, s.data(), s.size());

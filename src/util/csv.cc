@@ -1,7 +1,8 @@
 #include "util/csv.h"
 
 #include <fstream>
-#include <sstream>
+
+#include "util/file.h"
 
 namespace alem {
 
@@ -104,11 +105,9 @@ std::string WriteCsv(const std::vector<std::vector<std::string>>& rows) {
 
 bool ReadCsvFile(const std::string& path,
                  std::vector<std::vector<std::string>>* rows) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *rows = ParseCsv(buffer.str());
+  std::string content;
+  if (!ReadWholeFile(path, &content)) return false;
+  *rows = ParseCsv(content);
   return true;
 }
 

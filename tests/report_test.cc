@@ -76,6 +76,21 @@ RunReport MakeReport() {
   return report;
 }
 
+RunReport MakeReportWithTelemetry() {
+  RunReport report = MakeReport();
+  report.latency = {{"loop.train", 3, 0.0061, 0.0019, 0.0029, 0.003},
+                    {"selector.scoring", 3, 0.0072, 0.0021, 0.0033, 0.0039}};
+  report.has_pool = true;
+  report.pool.workers = 4;
+  report.pool.busy_seconds = 0.040;
+  report.pool.idle_seconds = 0.010;
+  report.pool.queue_wait_seconds = 0.002;
+  report.pool.worker_wall_seconds = 0.052;
+  report.pool.utilization = 0.040 / 0.052;
+  report.pool.regions = {{"ml.batch", 6, 48, 0.0001, 0.0009, 0.0004, 0.71}};
+  return report;
+}
+
 TEST(ReportJsonTest, RoundTripIsLossless) {
   const RunReport report = MakeReport();
   const std::string json = ReportToJson(report);
@@ -137,6 +152,16 @@ TEST(ReportJsonTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(ReportJsonTest, LoadRejectsMissingFileAndDirectory) {
+  RunReport loaded;
+  std::string error;
+  EXPECT_FALSE(LoadReportFile(::testing::TempDir() + "/no_such.report.json",
+                              &loaded, &error));
+  EXPECT_NE(error.find("cannot read"), std::string::npos) << error;
+  EXPECT_FALSE(LoadReportFile(::testing::TempDir(), &loaded, &error));
+  EXPECT_NE(error.find("cannot read"), std::string::npos) << error;
+}
+
 TEST(ReportJsonTest, RejectsMissingRequiredFields) {
   RunReport parsed;
   std::string error;
@@ -177,6 +202,290 @@ TEST(ReportJsonTest, RejectsMalformedJson) {
   EXPECT_FALSE(ParseReportJson("{\"schema_version\": 1,,}", &parsed,
                                &error));
   EXPECT_FALSE(ParseReportJson("", &parsed, &error));
+}
+
+// ---- Report invariants -------------------------------------------------
+// Each case mutates MakeReport(), which satisfies every rule, and expects
+// the parser to reject the round-tripped JSON with an error naming the rule.
+
+void ExpectRejected(const std::string& json, const std::string& needle) {
+  RunReport parsed;
+  std::string error;
+  EXPECT_FALSE(ParseReportJson(json, &parsed, &error));
+  EXPECT_NE(error.find(needle), std::string::npos) << error;
+}
+
+void ExpectRejected(const RunReport& report, const std::string& needle) {
+  ExpectRejected(ReportToJson(report), needle);
+}
+
+void ExpectAccepted(const RunReport& report) {
+  RunReport parsed;
+  std::string error;
+  EXPECT_TRUE(ParseReportJson(ReportToJson(report), &parsed, &error))
+      << error;
+}
+
+// `json` with its first `from` replaced by `to`.
+std::string Replaced(std::string json, const std::string& from,
+                     const std::string& to) {
+  const size_t at = json.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) json.replace(at, from.size(), to);
+  return json;
+}
+
+void SetCounter(RunReport* report, const std::string& name, uint64_t value) {
+  for (auto& [counter, counter_value] : report->counters) {
+    if (counter == name) {
+      counter_value = value;
+      return;
+    }
+  }
+  report->counters.emplace_back(name, value);
+}
+
+// A cold cache miss that stored its entry: consistent cache counters.
+RunReport MakeCachedReport() {
+  RunReport report = MakeReport();
+  report.cache = "miss";
+  SetCounter(&report, "featurize.cache.miss", 1);
+  SetCounter(&report, "featurize.cache.write", 1);
+  report.spans.push_back({"harness.featurize.cache", 1, 0.001, 0.001});
+  return report;
+}
+
+TEST(ReportInvariantTest, SpanSelfTimeAboveTotalFails) {
+  RunReport report = MakeReport();
+  report.spans[0].self_seconds = report.spans[0].total_seconds + 1e-6;
+  ExpectRejected(report, "self time");
+}
+
+TEST(ReportInvariantTest, CacheCountersNeedTheCacheSpan) {
+  RunReport report = MakeCachedReport();
+  ExpectAccepted(report);
+  report.spans.pop_back();
+  ExpectRejected(report, "harness.featurize.cache");
+  // A resumed session's spans cover only the resuming process.
+  report.session = "resumed";
+  ExpectAccepted(report);
+}
+
+TEST(ReportInvariantTest, CacheWritesAboveMissesFail) {
+  RunReport report = MakeCachedReport();
+  SetCounter(&report, "featurize.cache.write", 2);
+  ExpectRejected(report, "every write follows a miss");
+}
+
+TEST(ReportInvariantTest, CacheCountersWithCacheOffFail) {
+  RunReport report = MakeCachedReport();
+  report.cache = "off";
+  ExpectRejected(report, "config.cache is 'off'");
+}
+
+TEST(ReportInvariantTest, CacheProvenanceMustMatchCounters) {
+  RunReport report = MakeCachedReport();
+  report.cache = "hit";  // The counters say miss.
+  ExpectRejected(report, "featurize.cache.hit is zero");
+  // A warm hit: one hit, no miss and no write.
+  report = MakeCachedReport();
+  report.cache = "hit";
+  SetCounter(&report, "featurize.cache.hit", 1);
+  SetCounter(&report, "featurize.cache.miss", 0);
+  SetCounter(&report, "featurize.cache.write", 0);
+  ExpectAccepted(report);
+  report.cache = "miss";
+  ExpectRejected(report, "featurize.cache.miss is zero");
+}
+
+TEST(ReportInvariantTest, CacheIsRequired) {
+  ExpectRejected(Replaced(ReportToJson(MakeReport()), "\"cache\": \"off\", ",
+                          ""),
+                 "config.cache");
+}
+
+TEST(ReportInvariantTest, WarmColdSplitMustTallyFitCalls) {
+  RunReport report = MakeReport();
+  report.warm_start = "on";
+  SetCounter(&report, "ml.fit_calls", 6);
+  SetCounter(&report, "ml.warm_fits", 5);
+  SetCounter(&report, "ml.cold_fits", 1);
+  ExpectAccepted(report);
+  SetCounter(&report, "ml.cold_fits", 2);
+  ExpectRejected(report, "ml.fit_calls");
+}
+
+TEST(ReportInvariantTest, UnknownWarmStartModeFails) {
+  RunReport report = MakeReport();
+  report.warm_start = "lukewarm";
+  ExpectRejected(report, "config.warm_start");
+}
+
+TEST(ReportInvariantTest, WarmFitsWithWarmStartOffFail) {
+  RunReport report = MakeReport();
+  SetCounter(&report, "ml.fit_calls", 2);
+  SetCounter(&report, "ml.warm_fits", 1);
+  SetCounter(&report, "ml.cold_fits", 1);
+  ExpectRejected(report, "ml.warm_fits is 1");
+}
+
+TEST(ReportInvariantTest, EmptyLatencyRegionFails) {
+  RunReport report = MakeReportWithTelemetry();
+  report.latency[0].count = 0;
+  ExpectRejected(report, "count must be positive");
+}
+
+TEST(ReportInvariantTest, UnorderedPercentilesFail) {
+  RunReport report = MakeReportWithTelemetry();
+  report.latency[0].p95_seconds = report.latency[0].p99_seconds * 2.0;
+  ExpectRejected(report, "percentiles not ordered");
+  report = MakeReportWithTelemetry();
+  report.latency[1].p50_seconds = -1e-3;
+  ExpectRejected(report, "percentiles not ordered");
+}
+
+TEST(ReportInvariantTest, PoolAccountingGapFails) {
+  RunReport report = MakeReportWithTelemetry();
+  // 1% of a 2 s wall is 20 ms: a 15 ms gap passes, a 25 ms gap fails.
+  report.pool.worker_wall_seconds = 2.0;
+  report.pool.busy_seconds = 1.5;
+  report.pool.idle_seconds = 0.485;
+  report.pool.queue_wait_seconds = 0.0;
+  report.pool.utilization = 0.75;
+  ExpectAccepted(report);
+  report.pool.idle_seconds = 0.475;
+  ExpectRejected(report, "pool accounting gap");
+}
+
+TEST(ReportInvariantTest, PoolUtilizationOutsideUnitIntervalFails) {
+  RunReport report = MakeReportWithTelemetry();
+  report.pool.utilization = 1.5;
+  ExpectRejected(report, "pool utilization");
+  report = MakeReportWithTelemetry();
+  report.pool.regions[0].utilization = -0.1;
+  ExpectRejected(report, "ml.batch: utilization");
+}
+
+TEST(ReportInvariantTest, PoolNeedsWorkersAndRegionRuns) {
+  RunReport report = MakeReportWithTelemetry();
+  report.pool.workers = 0;
+  ExpectRejected(report, "pool workers");
+  report = MakeReportWithTelemetry();
+  report.pool.regions[0].chunks = 0;
+  ExpectRejected(report, "runs/chunks must be positive");
+}
+
+TEST(ReportInvariantTest, UnorderedChunkStatsFail) {
+  RunReport report = MakeReportWithTelemetry();
+  report.pool.regions[0].mean_chunk_seconds = 0.002;  // Above the max.
+  ExpectRejected(report, "chunk stats not ordered");
+}
+
+TEST(ReportInvariantTest, DecreasingLabelsUsedFails) {
+  RunReport report = MakeReport();
+  report.curve[2].labels_used = report.curve[1].labels_used - 1;
+  ExpectRejected(report, "labels_used");
+}
+
+TEST(ReportInvariantTest, F1OutsideUnitIntervalFails) {
+  RunReport report = MakeReport();
+  report.curve[0].f1 = 1.7;
+  ExpectRejected(report, "outside [0, 1]");
+}
+
+TEST(ReportInvariantTest, FinalF1MustMatchLastPoint) {
+  RunReport report = MakeReport();
+  report.final_f1 = report.curve.back().f1 + 1e-9;
+  ExpectRejected(report, "summary.final_f1");
+}
+
+TEST(ReportInvariantTest, ZeroOracleQueriesFails) {
+  RunReport report = MakeReport();
+  SetCounter(&report, "oracle.queries", 0);
+  ExpectRejected(report, "oracle.queries");
+}
+
+TEST(ReportInvariantTest, ScoringApproachNeedsScoredExamples) {
+  RunReport report = MakeReport();
+  SetCounter(&report, "selector.scored_examples", 0);
+  ExpectRejected(report, "selector.scored_examples");
+  // Random-batch approaches pick without scoring.
+  report.approach = "SupervisedTrees(Random-5)";
+  ExpectAccepted(report);
+  report.approach = "DeepMatcher";
+  ExpectAccepted(report);
+}
+
+TEST(ReportInvariantTest, ErrorNamesEveryViolation) {
+  RunReport report = MakeReport();
+  report.curve[0].f1 = 1.7;
+  SetCounter(&report, "oracle.queries", 0);
+  ExpectRejected(report, "outside [0, 1]");
+  ExpectRejected(report, "oracle.queries");
+}
+
+// ---- Field types and ranges --------------------------------------------
+
+TEST(ReportFieldTest, MistypedFieldFails) {
+  const std::string json = ReportToJson(MakeReport());
+  ExpectRejected(Replaced(json, "\"threads\": 4", "\"threads\": \"four\""),
+                 "config.threads");
+  ExpectRejected(Replaced(json, "\"scale\": ", "\"scale\": \"x\", \"_\": "),
+                 "config.scale is not a number");
+  ExpectRejected(Replaced(json, "\"holdout\": true", "\"holdout\": 1"),
+                 "config.holdout is not a boolean");
+  ExpectRejected(Replaced(json, "\"approach\": \"linear-margin\"",
+                          "\"approach\": 5"),
+                 "config.approach is not a string");
+  ExpectRejected(Replaced(json, "\"config\": {", "\"config\": 5, \"_\": {"),
+                 "config is not an object");
+  ExpectRejected(Replaced(json, "\"sim.calls\": 53802", "\"sim.calls\": \"n\""),
+                 "counters.sim.calls");
+}
+
+TEST(ReportFieldTest, NegativeIntegerFails) {
+  const std::string json = ReportToJson(MakeReport());
+  ExpectRejected(Replaced(json, "\"sim.calls\": 53802", "\"sim.calls\": -5"),
+                 "counters.sim.calls");
+  ExpectRejected(Replaced(json, "\"tree_depth\":5", "\"tree_depth\":-1"),
+                 "curve[].tree_depth");
+}
+
+TEST(ReportFieldTest, NonIntegralIntegerFails) {
+  const std::string json = ReportToJson(MakeReport());
+  ExpectRejected(Replaced(json, "\"sim.calls\": 53802",
+                          "\"sim.calls\": 53802.5"),
+                 "counters.sim.calls");
+  ExpectRejected(Replaced(json, "\"max_labels\": 200", "\"max_labels\": 1.5"),
+                 "config.max_labels");
+}
+
+TEST(ReportFieldTest, OutOfRangeIntegerFails) {
+  const std::string json = ReportToJson(MakeReport());
+  ExpectRejected(Replaced(json, "\"data_seed\": 7", "\"data_seed\": 1e300"),
+                 "config.data_seed");
+  ExpectRejected(Replaced(json, "\"threads\": 4", "\"threads\": 1e10"),
+                 "config.threads");
+  ExpectRejected(Replaced(json, "\"schema_version\": 1",
+                          "\"schema_version\": 4294967297"),
+                 "schema_version");
+  RunReport report = MakeReportWithTelemetry();
+  ExpectRejected(Replaced(ReportToJson(report), "\"workers\": 4",
+                          "\"workers\": 3e9"),
+                 "pool.workers");
+}
+
+TEST(ReportFieldTest, LargestIntegersParse) {
+  // 2^53 is exact as a double; 2^31 - 1 is the largest int field.
+  const std::string json = Replaced(
+      Replaced(ReportToJson(MakeReport()), "\"sim.calls\": 53802",
+               "\"sim.calls\": 9007199254740992"),
+      "\"threads\": 4", "\"threads\": 2147483647");
+  RunReport parsed;
+  std::string error;
+  ASSERT_TRUE(ParseReportJson(json, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.CounterOr("sim.calls"), 9007199254740992u);
+  EXPECT_EQ(parsed.threads, 2147483647);
 }
 
 // ---- JSON parser (util/json.h) ----------------------------------------
@@ -356,18 +665,6 @@ TEST(CheckReportsTest, ExactCurveCatchesLengthMismatch) {
   EXPECT_FALSE(CheckReports(baseline, candidate, options).empty());
 }
 
-TEST(CheckReportsTest, ZeroRequiredCounterFails) {
-  const RunReport baseline = MakeReport();
-  RunReport candidate = baseline;
-  for (auto& [name, value] : candidate.counters) {
-    if (name == "oracle.queries") value = 0;
-  }
-  const std::vector<std::string> failures =
-      CheckReports(baseline, candidate, ReportCheckOptions());
-  ASSERT_FALSE(failures.empty());
-  EXPECT_NE(failures[0].find("oracle.queries"), std::string::npos);
-}
-
 TEST(CheckReportsTest, ScoredExamplesRequiredOnlyWhereBaselineScored) {
   // A random-selector run scores nothing: it must pass against itself...
   RunReport unscored = MakeReport();
@@ -419,21 +716,6 @@ TEST(CheckReportsTest, LatencyGateHasAbsoluteGrace) {
 }
 
 // ---- Latency / pool sections -------------------------------------------
-
-RunReport MakeReportWithTelemetry() {
-  RunReport report = MakeReport();
-  report.latency = {{"loop.train", 3, 0.0061, 0.0019, 0.0029, 0.003},
-                    {"selector.scoring", 3, 0.0072, 0.0021, 0.0033, 0.0039}};
-  report.has_pool = true;
-  report.pool.workers = 4;
-  report.pool.busy_seconds = 0.040;
-  report.pool.idle_seconds = 0.010;
-  report.pool.queue_wait_seconds = 0.002;
-  report.pool.worker_wall_seconds = 0.052;
-  report.pool.utilization = 0.040 / 0.052;
-  report.pool.regions = {{"ml.batch", 6, 48, 0.0001, 0.0009, 0.0004, 0.71}};
-  return report;
-}
 
 TEST(ReportJsonTest, LatencyAndPoolSectionsRoundTrip) {
   const RunReport report = MakeReportWithTelemetry();

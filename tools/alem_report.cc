@@ -1,5 +1,7 @@
 // alem_report: inspect, compare, and gate RunReport flight-recorder
-// artifacts (see src/obs/report.h for the schema).
+// artifacts (see src/obs/report.h for the schema). Every command loads
+// through ParseReportJson, so it rejects a report that breaks an invariant;
+// `alem_report show R > /dev/null` validates one report.
 //
 // Commands:
 //   alem_report show REPORT.json
@@ -15,9 +17,9 @@
 //       [--latency-p95-tol=FRAC] [--exact-curve]
 //       The regression gate: exits nonzero (printing each violation) when
 //       the candidate's F1 trails the baseline beyond --f1-tol, when a
-//       run-kind candidate has zero oracle.queries /
-//       selector.scored_examples, when latency/counter gates (opt-in)
-//       trip, or when --exact-curve finds any curve divergence. Any other
+//       run-kind candidate has zero selector.scored_examples where the
+//       baseline scored, when latency/counter gates (opt-in) trip, or
+//       when --exact-curve finds any curve divergence. Any other
 //       flag is an error, so a misspelled tolerance cannot switch its
 //       gate off. This is what the `report` ctest label runs against the
 //       committed golden baseline.

@@ -24,11 +24,11 @@
 #      must make the check FAIL (guards against a gate that passes
 #      everything).
 #   5. Bench path: a tiny bench run with ALEM_REPORT_DIR set must emit a
-#      schema-valid bench report, and `alem_report aggregate` must roll
-#      it into a BENCH_alembench.json.
+#      valid bench report, and `alem_report aggregate` must roll it into a
+#      BENCH_alembench.json.
 #   6. Tail latency: a 4-thread telemetry run must produce a trace with
-#      sampler counter events, a schema-valid pool section satisfying
-#      the busy+idle+queue-wait ≈ worker-wall invariant, per-region
+#      sampler counter events, a valid pool section satisfying the
+#      busy+idle+queue-wait ≈ worker-wall invariant, per-region
 #      latency counts identical to the serial run for every region
 #      present in both (deterministic structure), p95s within a generous
 #      tolerance — and a perturbed-latency baseline must make
@@ -63,6 +63,10 @@
 #  11. Ensemble sessions: the same workload saved after 4 iterations
 #      (one member accepted) and resumed in a fresh 4-thread process must
 #      replay that baseline exactly (docs/sessions.md).
+#
+# Every alem_report command validates the reports it loads (schema and
+# invariants, src/obs/report.cc); `alem_report show R > /dev/null` checks a
+# report no other command here loads.
 set -eu
 
 build_dir="${1:-build}"
@@ -116,8 +120,6 @@ echo "[2/11] cache warmth: warm rerun identical, provenance says hit"
 run_cli linear-margin 1 "$work/warm.report.json" --cache-dir="$work/cache"
 "$report_tool" check "$work/t1.report.json" "$work/warm.report.json" \
     --exact-curve
-python3 "$repo_root/tools/trace_summary.py" --check \
-    --report "$work/warm.report.json"
 python3 - "$work/t1.report.json" "$work/warm.report.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -175,8 +177,9 @@ mkdir -p "$work/reports"
 ALEM_REPORT_DIR="$work/reports" ALEM_SCALE=0.2 ALEM_MAX_LABELS=40 \
     ALEM_THREADS=2 "$build_dir/bench/bench_fig10d_blocking_time" \
     > /dev/null
-python3 "$repo_root/tools/trace_summary.py" --check \
-    --report "$work/reports"/*.report.json
+for report in "$work/reports"/*.report.json; do
+  "$report_tool" show "$report" > /dev/null
+done
 (cd "$work" && "$report_tool" aggregate reports --out=BENCH_gate.json)
 python3 - "$work/BENCH_gate.json" <<'EOF'
 import json, sys
@@ -191,8 +194,8 @@ run_cli linear-margin 4 "$work/lat4.report.json" --no-cache \
     --telemetry-hz=50 --trace="$work/lat4.trace.json" \
     --metrics="$work/lat4.metrics.csv"
 python3 "$repo_root/tools/trace_summary.py" --check "$work/lat4.trace.json" \
-    --metrics "$work/lat4.metrics.csv" --report "$work/lat4.report.json" \
-    --expect-telemetry
+    --metrics "$work/lat4.metrics.csv" --expect-telemetry
+"$report_tool" show "$work/lat4.report.json" > /dev/null
 # Latency structure is deterministic: every region recorded in both the
 # serial and the 4-thread report must observe the same number of events
 # (pool-only regions like parallel.chunk are legitimately t4-only).
@@ -293,8 +296,6 @@ mkdir -p "$work/cache_session"
 "$report_tool" check \
     "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$work/resumed.report.json" --exact-curve --counter-tol=0
-python3 "$repo_root/tools/trace_summary.py" --check \
-    --report "$work/resumed.report.json"
 python3 - "$work/resumed.report.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -342,8 +343,6 @@ echo "[9/11] warm starts: warm gated, warm resume"
 mkdir -p "$work/cache_warm_on"
 run_cli linear-margin 1 "$work/warm_on.report.json" \
     --cache-dir="$work/cache_warm_on" --warm-start=on
-python3 "$repo_root/tools/trace_summary.py" --check \
-    --report "$work/warm_on.report.json"
 python3 - "$work/warm_on.report.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -403,9 +402,7 @@ mkdir -p "$work/cache_ens_session"
     --no-cache --quiet --report="$work/ens_resumed.report.json" > /dev/null
 "$report_tool" check "$ensemble_baseline" "$work/ens_resumed.report.json" \
     --exact-curve --counter-tol=0
-for report in "$work/ens_scalar.report.json" "$work/ens_resumed.report.json"; do
-  python3 "$repo_root/tools/trace_summary.py" --check --report "$report"
-done
+"$report_tool" show "$work/ens_scalar.report.json" > /dev/null
 echo "resumed ensemble replays the golden baseline exactly"
 
 echo "report gate OK"

@@ -21,21 +21,15 @@ Modes:
       the --telemetry-hz sampler) must be well-formed; pass
       --expect-telemetry to additionally require them. Exits nonzero on
       any violation (used by ctest).
-  trace_summary.py --check --report RUN.report.json
-      Validate a RunReport flight-recorder artifact (schema described in
-      docs/observability.md): required fields, a coherent learning curve
-      for "run" reports, nonzero required counters (oracle.queries, and
-      selector.scored_examples unless config.approach picks random
-      batches), span rollup
-      consistency, ordered percentiles in the optional latency section,
-      and — when the optional pool section is present — the worker
-      accounting invariant busy + idle + queue_wait ≈ worker_wall.
-      Combinable with a trace check in the same call.
   trace_summary.py --run-cli PATH/TO/alem_cli --check
-      Run a tiny synthetic experiment through alem_cli with --trace,
-      --metrics, and --report, then validate all three artifacts. Add
-      --telemetry HZ to run it at 4 threads with --telemetry-hz=HZ (pair
-      with --expect-telemetry to assert the sampler produced events).
+      Run a tiny synthetic experiment through alem_cli with --trace and
+      --metrics, then validate both artifacts. Add --telemetry HZ to run
+      it at 4 threads with --telemetry-hz=HZ (pair with --expect-telemetry
+      to assert the sampler produced events).
+
+RunReport JSON is validated by the C++ parser every alem_report command
+runs (src/obs/report.cc); check one report with
+`alem_report show RUN.report.json > /dev/null`.
 
 Only the Python standard library is used.
 """
@@ -53,10 +47,6 @@ REQUIRED_PHASE_SPANS = ("loop.train", "loop.evaluate", "loop.select",
                         "loop.label")
 # Metrics that a real run can never legitimately leave at zero.
 REQUIRED_NONZERO_COUNTERS = ("selector.scored_examples", "oracle.queries")
-# Counters a run report requires nonzero whatever its approach; scoring is
-# required only of approaches whose selector scores examples.
-REPORT_NONZERO_COUNTERS = ("oracle.queries",)
-SCORING_COUNTER = "selector.scored_examples"
 # Every ml.batch fan-out is issued by a pipeline phase that gathered the
 # rows first, so its aggregate span must sit inside one of these spans on
 # the submitting thread (selectors score, the evaluator sweeps the eval
@@ -333,293 +323,25 @@ def check_ml_batch_nesting(events):
     return failures
 
 
-# Fields every report must carry, and the extra ones "run" reports add.
-REPORT_REQUIRED_FIELDS = ("schema_version", "kind", "tool", "build",
-                          "config", "counters", "gauges", "spans", "process")
-REPORT_CONFIG_FIELDS = ("dataset", "approach", "data_seed", "run_seed",
-                        "scale", "threads", "seed_size", "batch_size",
-                        "max_labels", "oracle_noise", "holdout", "cache")
-REPORT_CURVE_FIELDS = ("iteration", "labels_used", "precision", "recall",
-                       "f1", "train_seconds", "select_seconds",
-                       "wait_seconds")
-REPORT_SUMMARY_FIELDS = ("iterations", "best_f1", "final_f1",
-                         "labels_to_converge", "total_wait_seconds")
-
-
-def check_report(report_path):
-    """Validates a RunReport JSON artifact; returns failure strings."""
-    try:
-        with open(report_path, "r", encoding="utf-8") as f:
-            report = json.load(f)
-    except (ValueError, OSError) as error:
-        return [f"report unreadable: {error}"]
-    if not isinstance(report, dict):
-        return ["report root is not a JSON object"]
-
-    failures = []
-    for field in REPORT_REQUIRED_FIELDS:
-        if field not in report:
-            failures.append(f"report missing required field '{field}'")
-    if failures:
-        return failures
-    if report["schema_version"] != 1:
-        failures.append(
-            f"unsupported schema_version {report['schema_version']}")
-    kind = report["kind"]
-    if kind not in ("run", "bench"):
-        failures.append(f"unknown report kind '{kind}'")
-    for field in REPORT_CONFIG_FIELDS:
-        if field not in report["config"]:
-            failures.append(f"report config missing '{field}'")
-    for field in ("wall_seconds", "peak_rss_bytes"):
-        if field not in report["process"]:
-            failures.append(f"report process missing '{field}'")
-
-    for span in report["spans"]:
-        for field in ("name", "count", "total_seconds", "self_seconds"):
-            if field not in span:
-                failures.append(f"span rollup entry missing '{field}': "
-                                f"{span}")
-                break
-        else:
-            if span["self_seconds"] > span["total_seconds"] + 1e-9:
-                failures.append(f"span {span['name']}: self time "
-                                f"{span['self_seconds']} exceeds total "
-                                f"{span['total_seconds']}")
-
-    failures.extend(check_report_cache(report, kind))
-    failures.extend(check_report_latency(report))
-    failures.extend(check_report_pool(report))
-    failures.extend(check_report_warm_start(report))
-
-    if kind == "run":
-        curve = report.get("curve", [])
-        if not curve:
-            failures.append("run report has an empty learning curve")
-        previous_labels = -1
-        for i, point in enumerate(curve):
-            for field in REPORT_CURVE_FIELDS:
-                if field not in point:
-                    failures.append(f"curve[{i}] missing '{field}'")
-                    break
-            labels = point.get("labels_used", 0)
-            if labels < previous_labels:
-                failures.append(f"curve[{i}]: labels_used {labels} "
-                                "decreases (curve must be monotone)")
-            previous_labels = labels
-            if not 0.0 <= point.get("f1", -1.0) <= 1.0:
-                failures.append(f"curve[{i}]: F1 {point.get('f1')} outside "
-                                "[0, 1]")
-        summary = report.get("summary", {})
-        for field in REPORT_SUMMARY_FIELDS:
-            if field not in summary:
-                failures.append(f"report summary missing '{field}'")
-        if curve and summary and "final_f1" in summary:
-            if abs(summary["final_f1"] - curve[-1].get("f1", -1.0)) > 1e-12:
-                failures.append("summary.final_f1 does not match the last "
-                                "curve point")
-        required = list(REPORT_NONZERO_COUNTERS)
-        if approach_scores_examples(report["config"].get("approach", "")):
-            required.append(SCORING_COUNTER)
-        for name in required:
-            if report["counters"].get(name, 0) <= 0:
-                failures.append(f"report counter {name} is zero or missing")
-    return failures
-
-
-def approach_scores_examples(approach):
-    """Whether a report's config.approach names a scoring selector.
-
-    Random-batch approaches ("SupervisedTrees(Random-5)", "<learner>-Random"
-    and DeepMatcher, which labels random batches) pick examples without
-    scoring any, so their selector.scored_examples is legitimately zero.
-    """
-    return "Random" not in approach and approach != "DeepMatcher"
-
-
-def check_report_cache(report, kind):
-    """Validates feature-cache counters against spans and provenance.
-
-    Whenever the persistent feature cache was touched (any
-    featurize.cache.* counter present), the report must also carry the
-    harness.featurize.cache span, writes can never outnumber misses
-    (every write follows a miss), and a "run" report's config.cache
-    provenance must agree with the counters. A resumed session's report
-    (config.session == "resumed") is exempt from the span requirement:
-    its counters stitch in the saving process's totals while its span
-    rollup covers only the resuming process (docs/sessions.md).
-    """
-    failures = []
-    counters = report.get("counters", {})
-    hits = counters.get("featurize.cache.hit", 0)
-    misses = counters.get("featurize.cache.miss", 0)
-    writes = counters.get("featurize.cache.write", 0)
-    if hits + misses + writes == 0:
-        return failures
-    resumed = report.get("config", {}).get("session") == "resumed"
-    span_names = {span.get("name") for span in report.get("spans", [])}
-    if "harness.featurize.cache" not in span_names and not resumed:
-        failures.append("featurize.cache.* counters present but no "
-                        "harness.featurize.cache span recorded")
-    if writes > misses:
-        failures.append(f"featurize.cache.write {writes} exceeds "
-                        f"featurize.cache.miss {misses} (every write "
-                        "follows a miss)")
-    if kind == "run":
-        cache = report.get("config", {}).get("cache", "off")
-        if cache == "off":
-            failures.append("featurize.cache.* counters present but "
-                            "config.cache is 'off'")
-        elif cache == "hit" and hits == 0:
-            failures.append("config.cache is 'hit' but "
-                            "featurize.cache.hit is zero")
-        elif cache == "miss" and misses == 0:
-            failures.append("config.cache is 'miss' but "
-                            "featurize.cache.miss is zero")
-    return failures
-
-
-def check_report_warm_start(report):
-    """Validates the warm-start counters (docs/training.md).
-
-    The fit-path split must tally: every Learner::Fit lands in exactly one
-    of ml.warm_fits / ml.cold_fits, so their sum equals ml.fit_calls
-    whenever the split counters are present. config.warm_start (optional
-    on old reports) must be a known mode, and with warm starts off no warm
-    fit may be recorded.
-    """
-    failures = []
-    counters = report.get("counters", {})
-    warm = counters.get("ml.warm_fits", 0)
-    cold = counters.get("ml.cold_fits", 0)
-    fits = counters.get("ml.fit_calls", 0)
-    if ("ml.warm_fits" in counters or "ml.cold_fits" in counters) \
-            and warm + cold != fits:
-        failures.append(f"ml.warm_fits {warm} + ml.cold_fits {cold} != "
-                        f"ml.fit_calls {fits}")
-    mode = report.get("config", {}).get("warm_start", "off")
-    if mode not in ("off", "on"):
-        failures.append(f"config.warm_start is '{mode}' (expected off/on)")
-    elif mode == "off" and warm > 0:
-        failures.append(f"config.warm_start is 'off' but ml.warm_fits "
-                        f"is {warm}")
-    return failures
-
-
-def check_report_latency(report):
-    """Validates the optional per-region latency percentile section.
-
-    Reports written before the section existed (or with metrics off)
-    simply omit it, which is valid. When present, every entry must name
-    a region with at least one observation and ordered percentiles
-    0 <= p50 <= p95 <= p99.
-    """
-    latency = report.get("latency")
-    if latency is None:
-        return []
-    if not isinstance(latency, list):
-        return ["report latency section is not an array"]
-    failures = []
-    for entry in latency:
-        for field in ("name", "count", "sum_seconds", "p50_seconds",
-                      "p95_seconds", "p99_seconds"):
-            if field not in entry:
-                failures.append(f"latency entry missing '{field}': {entry}")
-                break
-        else:
-            name = entry["name"]
-            if entry["count"] <= 0:
-                failures.append(f"latency {name}: count {entry['count']} "
-                                "must be positive (empty regions are "
-                                "omitted)")
-            p50, p95, p99 = (entry["p50_seconds"], entry["p95_seconds"],
-                             entry["p99_seconds"])
-            if not 0.0 <= p50 <= p95 <= p99:
-                failures.append(f"latency {name}: percentiles not ordered "
-                                f"(p50={p50} p95={p95} p99={p99})")
-    return failures
-
-
-def check_report_pool(report):
-    """Validates the optional thread-pool utilization section.
-
-    Serial runs (--threads=1) never engage the pool and omit the
-    section, which is valid. When present, the per-worker accounting
-    must tile worker wall time: |busy + idle + queue_wait - worker_wall|
-    within max(1% of wall, 10 ms), and every region's chunk-duration
-    stats must satisfy min <= mean <= max with a sane utilization.
-    """
-    pool = report.get("pool")
-    if pool is None:
-        return []
-    failures = []
-    for field in ("workers", "busy_seconds", "idle_seconds",
-                  "queue_wait_seconds", "worker_wall_seconds",
-                  "utilization", "regions"):
-        if field not in pool:
-            failures.append(f"pool section missing '{field}'")
-    if failures:
-        return failures
-    if pool["workers"] < 1:
-        failures.append(f"pool workers {pool['workers']} must be >= 1")
-    wall = pool["worker_wall_seconds"]
-    accounted = (pool["busy_seconds"] + pool["idle_seconds"] +
-                 pool["queue_wait_seconds"])
-    if abs(accounted - wall) > max(0.01 * wall, 0.01):
-        failures.append(f"pool accounting gap: busy+idle+queue_wait "
-                        f"{accounted:.6f}s vs worker_wall {wall:.6f}s "
-                        "(must agree within 1% or 10ms)")
-    if not 0.0 <= pool["utilization"] <= 1.0 + 1e-9:
-        failures.append(f"pool utilization {pool['utilization']} outside "
-                        "[0, 1]")
-    for region in pool["regions"]:
-        for field in ("name", "runs", "chunks", "min_chunk_seconds",
-                      "max_chunk_seconds", "mean_chunk_seconds",
-                      "utilization"):
-            if field not in region:
-                failures.append(f"pool region missing '{field}': {region}")
-                break
-        else:
-            name = region["name"]
-            if region["chunks"] <= 0 or region["runs"] <= 0:
-                failures.append(f"pool region {name}: runs/chunks must be "
-                                "positive")
-            lo, mean, hi = (region["min_chunk_seconds"],
-                            region["mean_chunk_seconds"],
-                            region["max_chunk_seconds"])
-            if not 0.0 <= lo <= mean + 1e-12 or not mean <= hi + 1e-12:
-                failures.append(f"pool region {name}: chunk stats not "
-                                f"ordered (min={lo} mean={mean} max={hi})")
-            if not 0.0 <= region["utilization"] <= 1.0 + 1e-9:
-                failures.append(f"pool region {name}: utilization "
-                                f"{region['utilization']} outside [0, 1]")
-    return failures
-
-
 def run_cli(cli_path, out_dir, telemetry_hz=0.0):
     """Runs a tiny traced experiment; returns its artifact paths.
 
     With telemetry_hz > 0 the run also starts the background telemetry
-    sampler and uses 4 threads so the pool-occupancy series and the
-    report's pool section have something to observe.
+    sampler and uses 4 threads so the pool-occupancy series has something
+    to observe.
     """
     trace_path = os.path.join(out_dir, "smoke.trace.json")
     metrics_path = os.path.join(out_dir, "smoke.metrics.csv")
-    report_path = os.path.join(out_dir, "smoke.report.json")
-    cache_dir = os.path.join(out_dir, "cache")
-    os.makedirs(cache_dir, exist_ok=True)
     command = [
         cli_path, "run", "--dataset=Abt-Buy", "--approach=linear-margin",
-        "--scale=0.25", "--max-labels=60", "--quiet",
-        f"--cache-dir={cache_dir}",  # Cold miss: exercises the cache checks.
-        f"--trace={trace_path}", f"--metrics={metrics_path}",
-        f"--report={report_path}"
+        "--scale=0.25", "--max-labels=60", "--quiet", "--no-cache",
+        f"--trace={trace_path}", f"--metrics={metrics_path}"
     ]
     if telemetry_hz > 0:
         command += [f"--telemetry-hz={telemetry_hz}", "--threads=4"]
     print("+", " ".join(command))
     subprocess.run(command, check=True)
-    return trace_path, metrics_path, report_path
+    return trace_path, metrics_path
 
 
 def main():
@@ -628,7 +350,6 @@ def main():
     parser.add_argument("--top", type=int, default=15,
                         help="rows in the self-time summary")
     parser.add_argument("--metrics", help="metrics CSV to read")
-    parser.add_argument("--report", help="RunReport JSON to validate")
     parser.add_argument("--check", action="store_true",
                         help="validate instead of summarize; nonzero exit "
                              "on violations")
@@ -646,32 +367,23 @@ def main():
 
     if args.run_cli:
         with tempfile.TemporaryDirectory(prefix="alem_trace_") as out_dir:
-            trace_path, metrics_path, report_path = run_cli(
-                args.run_cli, out_dir, telemetry_hz=args.telemetry)
-            return finish(args, trace_path, metrics_path, report_path)
-    if not args.trace and not (args.check and args.report):
-        parser.error("a trace file (or --run-cli, or --check --report) is "
-                     "required")
-    return finish(args, args.trace, args.metrics, args.report)
+            trace_path, metrics_path = run_cli(args.run_cli, out_dir,
+                                               telemetry_hz=args.telemetry)
+            return finish(args, trace_path, metrics_path)
+    if not args.trace:
+        parser.error("a trace file (or --run-cli) is required")
+    return finish(args, args.trace, args.metrics)
 
 
-def finish(args, trace_path, metrics_path, report_path):
+def finish(args, trace_path, metrics_path):
     if args.check:
-        failures = []
-        checked = []
-        if trace_path:
-            failures.extend(check(trace_path, metrics_path))
-            failures.extend(check_telemetry(trace_path,
-                                            args.expect_telemetry))
-            checked.extend([trace_path, metrics_path])
-        if report_path:
-            failures.extend(check_report(report_path))
-            checked.append(report_path)
+        failures = check(trace_path, metrics_path)
+        failures.extend(check_telemetry(trace_path, args.expect_telemetry))
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
-        print("artifacts OK (" + ", ".join(str(p) for p in checked) + ")")
+        print(f"artifacts OK ({trace_path}, {metrics_path})")
         return 0
     print_summary(load_trace(trace_path), args.top)
     if metrics_path:
